@@ -7,7 +7,8 @@
 // and trace ingestion (strict CSV parsing vs the memory-mapped columnar
 // format), capped by the end-to-end pair: load + γᵘ/γˡ on a 2M-row trace
 // with a 64-entry grid, before (CSV + oracle) and after (columnar + shared
-// index). tools/run_benchmarks.sh records the JSON trajectory in
+// index), and the online extractor's batched push (per-demand cost at the
+// serve daemon's grid). tools/run_benchmarks.sh records the JSON trajectory in
 // BENCH_extraction.json; the parallel paths are bit-identical to serial, so
 // these measure pure scheduling overhead/speedup.
 #include <benchmark/benchmark.h>
@@ -26,6 +27,7 @@
 #include "trace/io.h"
 #include "trace/kgrid.h"
 #include "workload/extract.h"
+#include "workload/online_extract.h"
 
 namespace {
 
@@ -298,6 +300,35 @@ void BM_ExtractBatchParallel(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(workload::extract_batch(traces, ks, pool));
 }
 BENCHMARK(BM_ExtractBatchParallel)->ArgsProduct({{16384}, {1, 2, 4}})->ArgNames({"n", "threads"});
+
+// --- Online extractor: per-demand cost of a Push ---------------------------
+// The serve daemon's hot path: one OnlineWorkloadExtractor fed chunks of
+// range(0) demands through try_push_all, on the serve grid (dense 512,
+// growth 1.02 up to k = 65536: 757 window sizes) and on a 64-entry log grid.
+// items_per_second is demands/s, so 1e9 / it is the ns per demand.
+void online_push_bench(benchmark::State& state, const std::vector<std::int64_t>& ks) {
+  const auto chunk = static_cast<std::size_t>(state.range(0));
+  const trace::DemandTrace d = demand_trace(1 << 18, 15);
+  workload::OnlineWorkloadExtractor ex{std::vector<EventCount>(ks)};
+  ex.try_push_all(d);  // warm: every window closed, the prefix buffer wrapped
+  std::size_t pos = 0;
+  for (auto _ : state) {
+    if (pos + chunk > d.size()) pos = 0;
+    benchmark::DoNotOptimize(ex.try_push_all(std::span(d).subspan(pos, chunk)));
+    pos += chunk;
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(chunk));
+}
+
+void BM_OnlinePushServeGrid(benchmark::State& state) {
+  online_push_bench(state, trace::make_kgrid({.max_k = 65536, .dense_limit = 512, .growth = 1.02}));
+}
+BENCHMARK(BM_OnlinePushServeGrid)->Arg(1)->Arg(128)->Arg(4096);
+
+void BM_OnlinePushLogGrid(benchmark::State& state) {
+  online_push_bench(state, log_grid(65536, 64));
+}
+BENCHMARK(BM_OnlinePushLogGrid)->Arg(1)->Arg(128)->Arg(4096);
 
 void BM_WorkloadCurveEval(benchmark::State& state) {
   const trace::DemandTrace d = demand_trace(8192, 14);

@@ -2,12 +2,15 @@
 //
 // A deployed player cannot extract curves offline — it watches its own
 // per-macroblock demands, maintains γᵘ/γˡ incrementally with the
-// OnlineWorkloadExtractor (bounded memory, O(|K|) per event), and uses the
-// current curve to pick the low clock of a two-mode DVS governor. The
-// example replays a synthetic MPEG-2 clip, tightens the clock as evidence
-// accumulates, and verifies the final choice against the full-trace curves.
+// OnlineWorkloadExtractor (bounded memory, fed one decoded frame at a time),
+// and uses the current curve to pick the low clock of a two-mode DVS
+// governor. The example replays a synthetic MPEG-2 clip, tightens the clock
+// as evidence accumulates, and verifies the final choice against the
+// full-trace curves.
+#include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <span>
 
 #include "common/table.h"
 #include "mpeg/trace_gen.h"
@@ -41,14 +44,18 @@ int main() {
             << clip.pe2_input.size() << " macroblocks)\n\n";
   common::Table table({"after [frames]", "γᵘ(1) so far", "γᵘ(1 frame) so far",
                        "long-run estimate [cycles/MB]"});
+  const trace::DemandTrace demands = trace::demands_of(clip.pe2_input);
+  const auto per_frame = static_cast<std::size_t>(frame_mbs);
   std::size_t next_report = 5;
-  for (std::size_t i = 0; i < clip.pe2_input.size(); ++i) {
-    // try_push, not push: a deployed monitor must survive a corrupted
+  for (std::size_t start = 0; start < demands.size(); start += per_frame) {
+    // One batch per decoded frame (one pass per tracked window size). The
+    // try_ form, not push_all: a deployed monitor must survive a corrupted
     // sample (it would be quarantined and counted in health()) rather than
     // unwind the player with an exception.
-    monitor.try_push(clip.pe2_input[i].demand);
-    const std::size_t frames_seen = (i + 1) / static_cast<std::size_t>(frame_mbs);
-    if (frames_seen == next_report && (i + 1) % static_cast<std::size_t>(frame_mbs) == 0) {
+    const std::size_t n = std::min(per_frame, demands.size() - start);
+    monitor.try_push_all(std::span(demands).subspan(start, n));
+    const std::size_t frames_seen = (start + n) / per_frame;
+    if (n == per_frame && frames_seen == next_report) {
       const auto gu = monitor.upper();
       table.add_row({std::to_string(frames_seen), common::fmt_i(gu.wcet()),
                      common::fmt_i(gu.value(frame_mbs)),
@@ -68,7 +75,7 @@ int main() {
   // The monitor's final curve vs the offline batch extraction: identical on
   // the tracked windows (the extractor is exact, not an approximation).
   std::vector<std::int64_t> batch_ks(ks.begin(), ks.end());
-  const auto offline = workload::extract_upper(trace::demands_of(clip.pe2_input), batch_ks);
+  const auto offline = workload::extract_upper(demands, batch_ks);
   const auto online = monitor.upper();
   std::cout << "\noffline γᵘ(1 frame) = " << common::fmt_i(offline.value(frame_mbs))
             << ", online γᵘ(1 frame) = " << common::fmt_i(online.value(frame_mbs)) << " (equal: "

@@ -87,9 +87,7 @@ bool valid_identifier(const std::string& s) {
 }
 
 std::int64_t session_bytes_estimate(const std::vector<EventCount>& ks) {
-  const std::int64_t ring = 8 * ks.back();
-  const auto rows = static_cast<std::int64_t>(ks.size());
-  return ring + rows * (3 * 16 + 8 + 1) + 512;
+  return workload::OnlineWorkloadExtractor::resident_bytes(ks) + 512;
 }
 
 SessionManager::SessionManager(SessionConfig cfg) : cfg_(std::move(cfg)) {
@@ -158,7 +156,7 @@ bool SessionManager::try_admit(const OpenRequest& req, bool allow_degrade, Reply
   const std::int64_t bytes = session_bytes_estimate(ks);
   if (cfg_.limits.max_resident_bytes > 0 &&
       bytes_leased_ + bytes > cfg_.limits.max_resident_bytes) {
-    // Coarsening keeps max(k), so the ring — the dominant cost — cannot
+    // Coarsening keeps max(k), so the prefix buffer — the dominant cost — cannot
     // shrink; degrading has no byte-axis path and this always rejects.
     *reply = reject(RejectCode::MemoryLimit,
                     "memory pool exhausted: session needs ~" + std::to_string(bytes) +

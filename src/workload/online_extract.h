@@ -8,6 +8,17 @@
 // over everything observed so far, in O(|K|) time per event and
 // O(|K| + max K) memory, independent of the trace length.
 //
+// Batched push. Accepted demands are kept as running prefix sums in a
+// buffer of the last max K + 1 totals plus slack (compacted by one copy
+// when the slack runs out), so the sum of any window of k recent demands is
+// one subtraction, P[t] − P[t−k]. A batch of m clean demands appends m
+// totals and then makes one contiguous pass per window size over the m
+// window ends, with no per-element index wrapping. The totals are kept
+// modulo 2^64, which is exact while every window sum fits an int64; that is
+// guaranteed while (largest accepted demand) × max K does. Single demands,
+// and streams that could exceed the bound, take a per-demand path over the
+// 128-bit running sums instead; both paths give bit-identical state.
+//
 // The curves it reports are exactly what the batch extractor would produce
 // on the same prefix restricted to the tracked window sizes (tested), and
 // they only ever widen as the prefix grows: the upper extrema are
@@ -93,9 +104,10 @@ class OnlineWorkloadExtractor {
 
   /// Batch observation, exactly equivalent to try_push in stream order on
   /// every element (bit-identical state afterwards); returns how many were
-  /// accepted (the rest were quarantined). The serve daemon feeds whole
-  /// Push-request batches through this — one call per frame instead of one
-  /// per demand.
+  /// accepted (the rest were quarantined). Each clean run of the batch is
+  /// folded in with one pass per window size (see the header comment), so
+  /// feeding m demands at once costs far less than m try_push calls. The
+  /// serve daemon feeds whole Push-request batches through this.
   EventCount try_push_all(std::span<const Cycles> demands);
 
   /// Strict batch observation: push() on every element in order. Throws on
@@ -124,26 +136,51 @@ class OnlineWorkloadExtractor {
 
   /// Rebuilds an extractor from an exported state. The state is validated
   /// structurally (consistent vector sizes, sorted window sizes, in-range
-  /// ring position, coherent counters); an inconsistent state — e.g. from a
-  /// corrupted or version-skewed snapshot that slipped past the outer
-  /// checksum — throws wlc::DomainError rather than constructing an
-  /// extractor that could report unsound bounds.
+  /// ring position, coherent counters) and semantically (each running
+  /// window sum equals the ring's last min(k, clean run) demands, and a
+  /// window the clean run has closed lies inside its recorded extrema); an
+  /// inconsistent state — e.g. from a corrupted or version-skewed snapshot
+  /// that slipped past the outer checksum — throws wlc::DomainError rather
+  /// than constructing an extractor that could report unsound bounds.
   static OnlineWorkloadExtractor from_state(const OnlineExtractorState& state);
+
+  /// Heap bytes an extractor over window sizes `ks` holds: the prefix
+  /// buffer plus the per-window state. Admission control sizes sessions by it.
+  static std::int64_t resident_bytes(const std::vector<EventCount>& ks);
 
  private:
   using WideCycles = __int128;  ///< overflow-proof window accumulators
 
   OnlineWorkloadExtractor() = default;  ///< for from_state only
 
-  void accept(Cycles demand);
+  /// Sets up the prefix buffer over `ring` (chronological from ring_pos_;
+  /// empty: all zeros). Needs ks_ set.
+  void init_prefix(const std::vector<Cycles>& ring);
+  /// Folds a run of non-negative demands in, batched where exact.
+  void accept_run(std::span<const Cycles> run);
+  /// One batch: appends the prefix totals, then one pass per window size.
+  /// Room for the batch must be reserved.
+  void accept_batch(std::span<const Cycles> batch);
+  /// One demand into the 128-bit running window sums (exact for any input).
+  /// Room for its total must be reserved.
+  void accept_one(Cycles demand);
+  /// Makes room for `m` more totals, compacting to the last max K + 1 (and
+  /// re-deriving demand_cap_ from the demands kept).
+  void reserve_prefix(std::size_t m);
+  /// Demand of the accepted event whose total is prefix_[i].
+  Cycles demand_at(std::size_t i) const { return static_cast<Cycles>(prefix_[i] - prefix_[i - 1]); }
 
   std::vector<EventCount> ks_;
   std::vector<WideCycles> window_sum_;  ///< running sum of the last ks_[i] demands
   std::vector<WideCycles> max_sum_;     ///< extrema over all complete clean windows
   std::vector<WideCycles> min_sum_;
   std::vector<bool> window_seen_;       ///< extrema valid (some clean window closed)
-  std::vector<Cycles> ring_;            ///< last max(ks_) demands
-  std::size_t ring_pos_ = 0;
+  /// Running totals (mod 2^64) of accepted demands, oldest first; always
+  /// holds at least the last max(ks_) + 1, so every window is a difference.
+  std::vector<std::uint64_t> prefix_;
+  std::size_t prefix_cap_ = 0;  ///< compaction threshold for prefix_
+  Cycles demand_cap_ = 0;       ///< >= every demand held in prefix_
+  std::size_t ring_pos_ = 0;    ///< exported ring's next slot (the oldest demand)
   EventCount events_ = 0;     ///< accepted demands
   EventCount clean_run_ = 0;  ///< accepted demands since the last quarantine
   EventCount quarantined_ = 0;
