@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -53,11 +54,18 @@ void fsync_parent_dir(const std::string& path) {
   }
 }
 
+std::int64_t steady_us() {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 }  // namespace
 
 bool atomic_write_file(const std::string& path, std::string_view bytes, std::string* error,
-                       int* errno_out) {
+                       int* errno_out, WriteStageTimes* times) {
   if (errno_out != nullptr) *errno_out = 0;
+  const std::int64_t t0 = steady_us();
   std::ostringstream tmp_name;
   tmp_name << path << ".tmp." << ::getpid();
   const std::string tmp = tmp_name.str();
@@ -79,6 +87,7 @@ bool atomic_write_file(const std::string& path, std::string_view bytes, std::str
     }
     written += static_cast<std::size_t>(n);
   }
+  const std::int64_t t1 = steady_us();
   if (fsync_retry(fd) != 0) {
     set_error(error, errno_out, "cannot fsync temp file", tmp);
     ::close(fd);
@@ -96,6 +105,7 @@ bool atomic_write_file(const std::string& path, std::string_view bytes, std::str
     return false;
   }
   fsync_parent_dir(path);
+  if (times != nullptr) *times = {t1 - t0, steady_us() - t1};
   return true;
 }
 

@@ -16,10 +16,17 @@
 // Failures never leave the temp file behind and never touch `path`.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
 namespace wlc::common {
+
+/// Wall time of atomic_write_file's two stages, in microseconds.
+struct WriteStageTimes {
+  std::int64_t write_us = 0;  ///< create the temp file and write the bytes
+  std::int64_t fsync_us = 0;  ///< fsync the temp file, close, rename, fsync the directory
+};
 
 /// Atomically replaces `path` with `bytes`. Returns true on success; on any
 /// failure returns false, fills `*error` (when non-null) with a
@@ -28,8 +35,10 @@ namespace wlc::common {
 /// `*errno_out` (when non-null) receives the failing step's errno (0 on
 /// success) so callers can react to specific conditions — the serve daemon
 /// degrades a session to in-memory-only on ENOSPC instead of dying.
+/// `*times` (when non-null) receives the stage times of a successful write.
 bool atomic_write_file(const std::string& path, std::string_view bytes,
-                       std::string* error = nullptr, int* errno_out = nullptr);
+                       std::string* error = nullptr, int* errno_out = nullptr,
+                       WriteStageTimes* times = nullptr);
 
 /// Reads a whole file into a byte string. Returns false (with `*error`
 /// filled when non-null) if the file cannot be opened or read.

@@ -45,6 +45,13 @@
 // wins. All randomness flows through common::Rng (xoshiro256**), so a given
 // (spec, call sequence) pair injects the identical fault schedule on every
 // platform — a failing chaos run is replayable from its seed.
+//
+// The call sequence is process-wide. In the serve daemon the snapshot
+// writer's open/write/fsync calls run on a thread of their own and
+// interleave with the reactor's socket and request-log I/O in that one
+// sequence. A plan therefore still replays its fault kinds and rates from
+// its seed, but which call a fault lands on can vary with the thread
+// interleaving from one run to the next.
 #pragma once
 
 #include <sys/socket.h>

@@ -582,8 +582,9 @@ int Server::run(const runtime::RunPolicy& policy) {
 
     const auto now = SessionManager::Clock::now();
     impl.route_queue_resolutions(sessions_, sessions_.pump_queue(now));
+    sessions_.poll_snapshots();
     if (cfg_.snapshot_interval.count() > 0 && now - impl.last_snapshot >= cfg_.snapshot_interval) {
-      sessions_.snapshot_all();
+      sessions_.schedule_snapshots();
       impl.last_snapshot = now;
     }
   }

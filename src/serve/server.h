@@ -17,9 +17,16 @@
 //    count and wall-clock interval); a graceful stop (the CLI routes
 //    SIGTERM/SIGINT into the stop token) drains buffered requests,
 //    flushes replies, snapshots every live session and returns 0; a
-//    SIGKILL loses at most the events since the last snapshot, which the
-//    resume protocol re-sends (see protocol.h) — recovered analyses are
-//    bit-identical to uninterrupted ones.
+//    SIGKILL loses at most the events since the last snapshot that reached
+//    the disk, which the resume protocol re-sends (see protocol.h) —
+//    recovered analyses are bit-identical to uninterrupted ones. Temp files
+//    a killed process left mid-write are removed at the next start.
+//  * The disk is off the reply path. Cadence and timer snapshots are
+//    written and fsynced by the SessionManager's snapshot-writer thread;
+//    the reactor only exports the session state and applies the writer's
+//    results (poll_snapshots) once per loop iteration, so a slow or
+//    faulting disk delays durability, not replies. Open (snapshot-on-admit),
+//    Close, Migrate-in and the drain still persist before they answer.
 //  * The reactor is observable while it runs. A Stats frame answers with a
 //    versioned JSON document (uptime, pool occupancy, per-session state,
 //    per-tenant rollups, full metrics snapshot with latency quantiles); a

@@ -1,12 +1,21 @@
 #include "serve/session.h"
 
-#include <algorithm>
-#include <cerrno>
-#include <chrono>
-#include <cstdio>
-#include <filesystem>
-#include <ostream>
+#include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cerrno>
+#include <condition_variable>
+#include <cstdio>
+#include <deque>
+#include <filesystem>
+#include <mutex>
+#include <ostream>
+#include <string_view>
+#include <thread>
+#include <utility>
+
+#include "common/atomic_file.h"
 #include "common/error.h"
 #include "obs/obs.h"
 #include "runtime/runtime.h"
@@ -74,7 +83,193 @@ bool tier_sound(const PwlTier& tier, const workload::OnlineWorkloadExtractor& ex
   return true;
 }
 
+/// True for `<id>.wlcs.tmp.<pid>` — atomic_write_file's temp name — when
+/// <pid> is not this process: a write that a dead process never finished.
+bool orphaned_temp_file(const std::string& name) {
+  constexpr std::string_view kInfix = ".wlcs.tmp.";
+  const auto at = name.rfind(kInfix);
+  if (at == std::string::npos) return false;
+  const std::string pid = name.substr(at + kInfix.size());
+  const auto digit = [](char c) { return c >= '0' && c <= '9'; };
+  if (pid.empty() || !std::all_of(pid.begin(), pid.end(), digit)) return false;
+  return pid != std::to_string(::getpid());
+}
+
+/// Spare export slots the writer keeps for reuse. Two cover the steady
+/// state — one slot exporting on the reactor while another is written — so
+/// a stream of snapshots allocates no state.
+constexpr std::size_t kSpareSlots = 2;
+
 }  // namespace
+
+/// One exported snapshot on its way to the disk.
+struct SessionManager::SnapshotJob {
+  std::string id;
+  std::string path;
+  std::uint64_t incarnation = 0;
+  std::uint64_t version = 0;
+  EventCount events = 0;  ///< events_since_snapshot the export reset
+  std::unique_ptr<SessionSnapshot> state;
+  std::int64_t started_us = 0;  ///< export began (obs::now_us)
+  std::int64_t queued_us = 0;   ///< export done, handed over
+};
+
+/// What the reactor needs to apply a finished snapshot.
+struct SessionManager::SnapshotResult {
+  std::string id;
+  std::uint64_t incarnation = 0;
+  std::uint64_t version = 0;
+  EventCount events = 0;
+  bool ok = false;
+  int err = 0;
+  std::string error;
+  std::int64_t total_us = 0;  ///< export start to durable file
+};
+
+/// The snapshot-writer thread and its queue. All members are guarded by mu_
+/// except buf_, which only the thread touches.
+class SessionManager::SnapshotWriter {
+ public:
+  SnapshotWriter() : thread_([this] { run(); }) {
+    WLC_COUNTER_ADD("serve.snapshots.coalesced", 0);  // listed in Stats from the start
+  }
+
+  ~SnapshotWriter() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    work_cv_.notify_one();
+    thread_.join();
+  }
+
+  std::unique_ptr<SessionSnapshot> take_slot() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (spare_.empty()) return std::make_unique<SessionSnapshot>();
+    auto slot = std::move(spare_.back());
+    spare_.pop_back();
+    return slot;
+  }
+
+  /// Queues `job`; a job already pending for the same session is replaced.
+  void submit(SnapshotJob job) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      const auto it = find_pending(job.id);
+      if (it != pending_.end()) {
+        recycle(std::move(it->state));
+        *it = std::move(job);
+        WLC_COUNTER_ADD("serve.snapshots.coalesced", 1);
+      } else {
+        pending_.push_back(std::move(job));
+      }
+      WLC_GAUGE_SET("serve.snapshots.pending", static_cast<std::int64_t>(pending_.size()));
+    }
+    work_cv_.notify_one();
+  }
+
+  /// Drops the pending job of `id` (every session when `id` is null) and
+  /// waits until no write of it is in flight.
+  void cancel(const std::string* id) {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (auto it = pending_.begin(); it != pending_.end();) {
+      if (id == nullptr || it->id == *id) {
+        recycle(std::move(it->state));
+        it = pending_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    WLC_GAUGE_SET("serve.snapshots.pending", static_cast<std::int64_t>(pending_.size()));
+    idle_cv_.wait(lock, [&] { return in_flight_.empty() || (id != nullptr && in_flight_ != *id); });
+  }
+
+  /// Waits until every job handed over so far is written.
+  void barrier() {
+    std::unique_lock<std::mutex> lock(mu_);
+    idle_cv_.wait(lock, [&] { return pending_.empty() && in_flight_.empty(); });
+  }
+
+  bool has_results() const { return has_results_.load(std::memory_order_acquire); }
+
+  /// Encodes (payload plus CRC) and atomically writes one exported
+  /// snapshot, timing each stage. The thread runs it, and so do the
+  /// synchronous paths on the reactor, each with its own buffer.
+  static SnapshotResult write(const SnapshotJob& job, std::string& buf) {
+    SnapshotResult r;
+    r.id = job.id;
+    r.incarnation = job.incarnation;
+    r.version = job.version;
+    r.events = job.events;
+    {
+      WLC_TRACE_SPAN("serve.snapshot.encode");
+      const std::int64_t t0 = obs::now_us();
+      encode_snapshot_into(*job.state, &buf);
+      WLC_HISTOGRAM_OBSERVE("serve.snapshot.encode_us", obs::now_us() - t0);
+    }
+    common::WriteStageTimes times;
+    {
+      // Covers both of atomic_write_file's stages, write_us and fsync_us.
+      WLC_TRACE_SPAN("serve.snapshot.write");
+      r.ok = common::atomic_write_file(job.path, buf, &r.error, &r.err, &times);
+    }
+    if (r.ok) {
+      WLC_HISTOGRAM_OBSERVE("serve.snapshot.write_us", times.write_us);
+      WLC_HISTOGRAM_OBSERVE("serve.snapshot.fsync_us", times.fsync_us);
+    }
+    r.total_us = obs::now_us() - job.started_us;
+    return r;
+  }
+
+  std::vector<SnapshotResult> take_results() {
+    std::lock_guard<std::mutex> lock(mu_);
+    has_results_.store(false, std::memory_order_relaxed);
+    return std::exchange(results_, {});
+  }
+
+ private:
+  std::deque<SnapshotJob>::iterator find_pending(const std::string& id) {
+    return std::find_if(pending_.begin(), pending_.end(),
+                        [&](const SnapshotJob& j) { return j.id == id; });
+  }
+
+  void recycle(std::unique_ptr<SessionSnapshot> slot) {
+    if (slot != nullptr && spare_.size() < kSpareSlots) spare_.push_back(std::move(slot));
+  }
+
+  void run() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      work_cv_.wait(lock, [&] { return stop_ || !pending_.empty(); });
+      if (pending_.empty()) return;  // stopping, and everything handed over is written
+      SnapshotJob job = std::move(pending_.front());
+      pending_.pop_front();
+      in_flight_ = job.id;
+      WLC_GAUGE_SET("serve.snapshots.pending", static_cast<std::int64_t>(pending_.size()));
+      lock.unlock();
+      WLC_HISTOGRAM_OBSERVE("serve.snapshot.queue_us", obs::now_us() - job.queued_us);
+      SnapshotResult result = write(job, buf_);
+      lock.lock();
+      results_.push_back(std::move(result));
+      has_results_.store(true, std::memory_order_release);
+      recycle(std::move(job.state));
+      in_flight_.clear();
+      idle_cv_.notify_all();
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable work_cv_;  ///< the thread waits for jobs
+  std::condition_variable idle_cv_;  ///< cancel/barrier wait for writes to end
+  std::deque<SnapshotJob> pending_;  ///< FIFO, at most one job per session
+  std::string in_flight_;            ///< session whose write is in flight, or empty
+  bool stop_ = false;
+  std::vector<SnapshotResult> results_;
+  std::atomic<bool> has_results_{false};
+  std::vector<std::unique_ptr<SessionSnapshot>> spare_;
+  std::string buf_;  ///< the thread's long-lived encode buffer
+  std::thread thread_;  ///< declared last: starts once the members above exist
+};
 
 bool valid_identifier(const std::string& s) {
   if (s.empty() || s.size() > 128 || s.front() == '.') return false;
@@ -97,6 +292,8 @@ SessionManager::SessionManager(SessionConfig cfg) : cfg_(std::move(cfg)) {
     if (ec) log_line("cannot create state dir '" + cfg_.state_dir + "': " + ec.message());
   }
 }
+
+SessionManager::~SessionManager() = default;
 
 SessionManager::Session* SessionManager::find(const std::string& id) {
   const auto it = sessions_.find(id);
@@ -171,25 +368,18 @@ bool SessionManager::try_admit(const OpenRequest& req, bool allow_degrade, Reply
   session->id = req.session_id;
   session->tenant = req.tenant;
   session->ks_used = std::move(ks);
-  session->grid_cost = static_cast<std::int64_t>(session->ks_used.size());
   session->bytes_cost = bytes;
   session->degraded = degraded;
-  grid_leased_ += session->grid_cost;
-  bytes_leased_ += session->bytes_cost;
+  Session& ref = install(std::move(session));
 
   OpenReply ok;
-  ok.ks_used = session->ks_used;
+  ok.ks_used = ref.ks_used;
   ok.events_seen = 0;
   ok.resumed = false;
   ok.degraded = degraded;
 
-  Session& ref = *session;
-  sessions_[req.session_id] = std::move(session);
   WLC_COUNTER_ADD("serve.sessions.admitted", 1);
   if (degraded) WLC_COUNTER_ADD("serve.sessions.degraded", 1);
-  WLC_GAUGE_SET("serve.sessions.live", static_cast<std::int64_t>(sessions_.size()));
-  WLC_GAUGE_SET("serve.pool.grid_leased", grid_leased_);
-  WLC_GAUGE_SET("serve.pool.bytes_leased", bytes_leased_);
   tenant_count(req.tenant, "admitted", 1);
   if (degraded) tenant_count(req.tenant, "degraded", 1);
   // Snapshot-on-admit: makes the fresh session durable immediately and
@@ -275,18 +465,20 @@ SessionManager::OpenOutcome SessionManager::open(const OpenRequest& req, Clock::
 }
 
 Reply SessionManager::push(const PushRequest& req) {
+  poll_snapshots();
   Session* s = find(req.session_id);
   if (s == nullptr)
     return reject(RejectCode::UnknownSession, "no session '" + req.session_id + "'", 0);
   s->extractor.try_push_all(req.demands);
   const auto n = static_cast<std::int64_t>(req.demands.size());
   s->dirty = true;
+  ++s->version;
   s->events_since_snapshot += n;
   WLC_COUNTER_ADD("serve.events.pushed", n);
   tenant_count(s->tenant, "events", n);
   if (!cfg_.state_dir.empty() && cfg_.snapshot_every > 0 && !s->memory_only &&
       s->events_since_snapshot >= cfg_.snapshot_every)
-    snapshot_session(*s);
+    queue_snapshot(*s);
   const auto health = s->extractor.health();
   PushReply ok;
   ok.events_seen = s->extractor.events_seen() + health.quarantined;  // stream position
@@ -319,18 +511,15 @@ Reply SessionManager::close(const CloseRequest& req) {
   CloseReply rep;
   rep.events_seen = s->extractor.events_seen() + s->extractor.health().quarantined;
   if (!cfg_.state_dir.empty()) {
-    if (req.discard_snapshot)
+    if (req.discard_snapshot) {
+      settle_writer(s->id);
       std::remove(snapshot_path(s->id).c_str());
-    else
+    } else {
       snapshot_session(*s);
+    }
   }
-  grid_leased_ -= s->grid_cost;
-  bytes_leased_ -= s->bytes_cost;
-  sessions_.erase(req.session_id);
+  forget(req.session_id);
   WLC_COUNTER_ADD("serve.sessions.closed", 1);
-  WLC_GAUGE_SET("serve.sessions.live", static_cast<std::int64_t>(sessions_.size()));
-  WLC_GAUGE_SET("serve.pool.grid_leased", grid_leased_);
-  WLC_GAUGE_SET("serve.pool.bytes_leased", bytes_leased_);
   return rep;
 }
 
@@ -403,22 +592,15 @@ Reply SessionManager::migrate_in(const MigrateRequest& req) {
   session->id = snap.session_id;
   session->tenant = snap.tenant;
   session->ks_used = snap.extractor.ks;
-  session->grid_cost = static_cast<std::int64_t>(session->ks_used.size());
   session->bytes_cost = session_bytes_estimate(session->ks_used);
   adopt_tier(*session, std::move(snap.tier));
   // Like recovery: the session was already admitted (by the origin daemon),
   // so it re-leases unconditionally rather than being re-subjected to this
   // pool's admission — dropping an accepted session's guarantees mid-flight
   // would be worse than a transient overcommit.
-  grid_leased_ += session->grid_cost;
-  bytes_leased_ += session->bytes_cost;
-  Session& ref = *session;
-  sessions_[ref.id] = std::move(session);
+  Session& ref = install(std::move(session));
   tenant_count(ref.tenant, "migrated_in", 1);
   WLC_COUNTER_ADD("serve.sessions.migrated_in", 1);
-  WLC_GAUGE_SET("serve.sessions.live", static_cast<std::int64_t>(sessions_.size()));
-  WLC_GAUGE_SET("serve.pool.grid_leased", grid_leased_);
-  WLC_GAUGE_SET("serve.pool.bytes_leased", bytes_leased_);
   // Persist before acknowledging: once the origin sees MigrateOk it deletes
   // its copy, so this daemon must be able to survive its own crash from
   // here on. A disk-full receiver still accepts (memory-only degrade).
@@ -453,15 +635,13 @@ bool SessionManager::export_session_snapshot(const std::string& id, std::string*
 void SessionManager::drop_migrated(const std::string& id) {
   Session* s = find(id);
   if (s == nullptr) return;
-  if (!cfg_.state_dir.empty()) std::remove(snapshot_path(id).c_str());
-  grid_leased_ -= s->grid_cost;
-  bytes_leased_ -= s->bytes_cost;
+  if (!cfg_.state_dir.empty()) {
+    settle_writer(id);
+    std::remove(snapshot_path(id).c_str());
+  }
   tenant_count(s->tenant, "migrated_out", 1);
-  sessions_.erase(id);
+  forget(id);
   WLC_COUNTER_ADD("serve.sessions.migrated_out", 1);
-  WLC_GAUGE_SET("serve.sessions.live", static_cast<std::int64_t>(sessions_.size()));
-  WLC_GAUGE_SET("serve.pool.grid_leased", grid_leased_);
-  WLC_GAUGE_SET("serve.pool.bytes_leased", bytes_leased_);
 }
 
 std::vector<SessionManager::QueueResolution> SessionManager::pump_queue(Clock::time_point now) {
@@ -531,56 +711,137 @@ void SessionManager::adopt_tier(Session& s, std::optional<PwlTier> tier) {
   if (tier.has_value() && s.tier.has_value()) WLC_COUNTER_ADD("serve.compact.recomputes", 1);
 }
 
-void SessionManager::snapshot_session(Session& s) {
-  const auto start = std::chrono::steady_clock::now();
+SessionManager::Session& SessionManager::install(std::unique_ptr<Session> session) {
+  session->incarnation = next_incarnation_++;
+  session->grid_cost = static_cast<std::int64_t>(session->ks_used.size());
+  grid_leased_ += session->grid_cost;
+  bytes_leased_ += session->bytes_cost;
+  Session& ref = *session;
+  sessions_[ref.id] = std::move(session);
+  WLC_GAUGE_SET("serve.sessions.live", static_cast<std::int64_t>(sessions_.size()));
+  WLC_GAUGE_SET("serve.pool.grid_leased", grid_leased_);
+  WLC_GAUGE_SET("serve.pool.bytes_leased", bytes_leased_);
+  return ref;
+}
+
+void SessionManager::forget(const std::string& id) {
+  const auto it = sessions_.find(id);
+  grid_leased_ -= it->second->grid_cost;
+  bytes_leased_ -= it->second->bytes_cost;
+  sessions_.erase(it);
+  WLC_GAUGE_SET("serve.sessions.live", static_cast<std::int64_t>(sessions_.size()));
+  WLC_GAUGE_SET("serve.pool.grid_leased", grid_leased_);
+  WLC_GAUGE_SET("serve.pool.bytes_leased", bytes_leased_);
+}
+
+SessionManager::SnapshotJob SessionManager::export_job(Session& s,
+                                                       std::unique_ptr<SessionSnapshot> slot) {
+  WLC_TRACE_SPAN("serve.snapshot.hold");
+  SnapshotJob job;
+  job.started_us = obs::now_us();
   // Recompute the tier from the live curves at every persist — the compact
   // fit is deterministic, so two snapshots of the same stream position
   // carry byte-identical tiers (what the kill -9 soak asserts).
   s.tier = make_tier(s);
-  SessionSnapshot snap;
-  snap.session_id = s.id;
-  snap.tenant = s.tenant;
-  snap.extractor = s.extractor.export_state();
-  snap.tier = s.tier;
-  if (snap.tier.has_value()) WLC_COUNTER_ADD("serve.compact.tier_written", 1);
-  std::string error;
-  int write_errno = 0;
-  if (!write_snapshot_file(snapshot_path(s.id), snap, &error, &write_errno)) {
+  slot->session_id = s.id;
+  slot->tenant = s.tenant;
+  s.extractor.export_state_into(slot->extractor);
+  slot->tier = s.tier;
+  if (slot->tier.has_value()) WLC_COUNTER_ADD("serve.compact.tier_written", 1);
+  job.id = s.id;
+  job.path = snapshot_path(s.id);
+  job.incarnation = s.incarnation;
+  job.version = s.version;
+  job.events = std::exchange(s.events_since_snapshot, 0);
+  job.state = std::move(slot);
+  job.queued_us = obs::now_us();
+  WLC_HISTOGRAM_OBSERVE("serve.snapshot.hold_us", job.queued_us - job.started_us);
+  return job;
+}
+
+void SessionManager::snapshot_session(Session& s) {
+  settle_writer(s.id);
+  std::string buf;
+  apply_result(SnapshotWriter::write(export_job(s, std::make_unique<SessionSnapshot>()), buf));
+}
+
+void SessionManager::queue_snapshot(Session& s) {
+  if (writer_ == nullptr) writer_ = std::make_unique<SnapshotWriter>();
+  writer_->submit(export_job(s, writer_->take_slot()));
+}
+
+void SessionManager::settle_writer(const std::string& id) {
+  if (writer_ == nullptr) return;
+  writer_->cancel(&id);
+  poll_snapshots();
+}
+
+void SessionManager::apply_result(const SnapshotResult& r) {
+  Session* s = find(r.id);
+  // A result for a closed, migrated or re-opened id still counts as I/O,
+  // but it must not touch whatever session holds the id now.
+  if (s != nullptr && s->incarnation != r.incarnation) s = nullptr;
+  if (!r.ok) {
     WLC_COUNTER_ADD("serve.snapshots.failed", 1);
-    if (write_errno == ENOSPC || write_errno == EDQUOT) {
+    const bool disk_full = r.err == ENOSPC || r.err == EDQUOT;
+    if (disk_full) WLC_COUNTER_ADD("serve.snapshots.disk_full", 1);
+    if (s == nullptr) return;
+    // Not durable after all: the events this export covered still count
+    // towards the next cadence snapshot.
+    s->events_since_snapshot += r.events;
+    if (disk_full) {
       // Disk full is the one I/O failure with a sound degraded mode:
       // suspend this session's cadence snapshots (analysis stays exact,
       // only crash-durability is lost) instead of hammering a full disk —
-      // snapshot_all and Close keep retrying, and success re-arms.
-      WLC_COUNTER_ADD("serve.snapshots.disk_full", 1);
-      if (!s.memory_only) {
-        s.memory_only = true;
+      // the timer, snapshot_all and Close keep retrying, and success
+      // re-arms.
+      if (!s->memory_only) {
+        s->memory_only = true;
         WLC_COUNTER_ADD("serve.sessions.memory_only", 1);
-        const DiskFullError e("session degraded to in-memory-only: " + error, s.id);
+        const DiskFullError e("session degraded to in-memory-only: " + r.error, s->id);
         log_line(std::string(e.kind()) + ": " + e.message());
       }
     } else {
-      log_line("snapshot of session '" + s.id + "' failed: " + error);
+      log_line("snapshot of session '" + s->id + "' failed: " + r.error);
     }
     return;
   }
-  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
   WLC_COUNTER_ADD("serve.snapshots.written", 1);
-  WLC_HISTOGRAM_OBSERVE("serve.snapshot_us", us);
-  s.events_since_snapshot = 0;
-  s.dirty = false;
-  if (s.memory_only) {
-    s.memory_only = false;
-    log_line("session '" + s.id + "' snapshots re-enabled (disk has space again)");
+  WLC_HISTOGRAM_OBSERVE("serve.snapshot_us", r.total_us);
+  if (s == nullptr) return;
+  if (s->version == r.version) s->dirty = false;
+  if (s->memory_only) {
+    s->memory_only = false;
+    log_line("session '" + s->id + "' snapshots re-enabled (disk has space again)");
   }
 }
 
 void SessionManager::snapshot_all() {
   if (cfg_.state_dir.empty()) return;
+  if (writer_ != nullptr) {
+    writer_->cancel(nullptr);
+    poll_snapshots();
+  }
   for (auto& [id, s] : sessions_)
     if (s->dirty) snapshot_session(*s);
+}
+
+void SessionManager::schedule_snapshots() {
+  if (cfg_.state_dir.empty()) return;
+  poll_snapshots();
+  for (auto& [id, s] : sessions_)
+    if (s->dirty) queue_snapshot(*s);
+}
+
+void SessionManager::poll_snapshots() {
+  if (writer_ == nullptr || !writer_->has_results()) return;
+  for (const SnapshotResult& r : writer_->take_results()) apply_result(r);
+}
+
+void SessionManager::flush_snapshots() {
+  if (writer_ == nullptr) return;
+  writer_->barrier();
+  poll_snapshots();
 }
 
 std::size_t SessionManager::recover() {
@@ -594,10 +855,23 @@ std::size_t SessionManager::recover() {
   }
   // Deterministic recovery order (directory iteration order is not).
   std::vector<std::filesystem::path> files;
-  for (const auto& entry : dir)
-    if (entry.is_regular_file(ec) && entry.path().extension() == ".wlcs")
+  std::vector<std::filesystem::path> orphans;
+  for (const auto& entry : dir) {
+    if (!entry.is_regular_file(ec)) continue;
+    if (entry.path().extension() == ".wlcs") {
       files.push_back(entry.path());
+    } else if (orphaned_temp_file(entry.path().filename().string())) {
+      orphans.push_back(entry.path());
+    }
+  }
   std::sort(files.begin(), files.end());
+  // A process killed mid-write leaves its <id>.wlcs.tmp.<pid> behind, and
+  // nothing else would ever remove it.
+  for (const auto& path : orphans)
+    if (std::filesystem::remove(path, ec)) WLC_COUNTER_ADD("serve.snapshots.orphans_removed", 1);
+  if (!orphans.empty())
+    log_line("removed " + std::to_string(orphans.size()) +
+             " snapshot temp file(s) left by an earlier process");
 
   for (const auto& path : files) {
     SessionSnapshot snap;
@@ -617,16 +891,13 @@ std::size_t SessionManager::recover() {
       session->id = snap.session_id;
       session->tenant = snap.tenant;
       session->ks_used = snap.extractor.ks;
-      session->grid_cost = static_cast<std::int64_t>(session->ks_used.size());
       session->bytes_cost = session_bytes_estimate(session->ks_used);
+      tenant_count(session->tenant, "recovered", 1);
+      adopt_tier(*session, std::move(snap.tier));
       // Recovered sessions were admitted before the crash; they re-lease
       // unconditionally (the pool may transiently overcommit until some
       // close — preferable to dropping accepted sessions' guarantees).
-      grid_leased_ += session->grid_cost;
-      bytes_leased_ += session->bytes_cost;
-      tenant_count(session->tenant, "recovered", 1);
-      adopt_tier(*session, std::move(snap.tier));
-      sessions_[snap.session_id] = std::move(session);
+      install(std::move(session));
       ++recovered_;
       ++loaded;
     } catch (const wlc::Error& e) {
@@ -640,9 +911,6 @@ std::size_t SessionManager::recover() {
     }
   }
   WLC_COUNTER_ADD("serve.sessions.recovered", static_cast<std::int64_t>(loaded));
-  WLC_GAUGE_SET("serve.sessions.live", static_cast<std::int64_t>(sessions_.size()));
-  WLC_GAUGE_SET("serve.pool.grid_leased", grid_leased_);
-  WLC_GAUGE_SET("serve.pool.bytes_leased", bytes_leased_);
   return loaded;
 }
 

@@ -24,14 +24,43 @@
 //             connection gets exactly one reply either way.
 //
 // Snapshots. With a state_dir configured, sessions are persisted on admit,
-// every snapshot_every accepted events, on demand (snapshot_all — the
-// graceful-shutdown path), and at Close with discard = false. Writes are
-// atomic (common::atomic_write_file), loads are strict (serve/snapshot.h):
-// recover() resurrects every valid *.wlcs, quarantines corrupt ones by
-// renaming to *.corrupt, and never lets one bad file take the daemon down.
+// every snapshot_every accepted events, on the server's timer, on demand
+// (snapshot_all — the graceful-shutdown path), at Migrate-in, and at Close
+// with discard = false. Writes are atomic (common::atomic_write_file), loads
+// are strict (serve/snapshot.h): recover() resurrects every valid *.wlcs,
+// quarantines corrupt ones by renaming to *.corrupt, removes temp files a
+// killed process left mid-write, and never lets one bad file take the
+// daemon down.
 //
-// Threading: the manager is single-threaded by design — the server's
-// reactor owns it. Nothing here is locked.
+// Threading. The manager is driven by one thread — the server's reactor —
+// and its sessions are touched by that thread only. The one exception is
+// the snapshot writer: a thread of its own, started by the first
+// asynchronous snapshot, that encodes, checksums, writes and fsyncs.
+//
+//   Asynchronous — the cadence snapshot in push() and the timer's
+//   schedule_snapshots(). The reactor runs make_tier (when tiering is on)
+//   and exports the extractor state into a recycled slot, then hands the
+//   slot to the writer and replies; no Push waits on the disk. A PushReply
+//   never promised durability: a resuming client continues from the last
+//   snapshot that reached the disk.
+//   Synchronous — snapshot-on-admit, Close, Migrate-in, drop_migrated and
+//   snapshot_all(). Each first cancels the session's pending job and waits
+//   for its write in flight, then writes (or removes) the file itself and
+//   is durable before it returns. So two writers never share a temp file,
+//   and a late write can never bring back a snapshot that was discarded or
+//   migrated away.
+//
+// The writer hands every result back; the reactor applies it in
+// poll_snapshots() (called from push() and from the server loop): the
+// dirty flag, memory-only on ENOSPC/EDQUOT, log lines and counters. A
+// result carries the session's incarnation, so a re-opened id never takes
+// its predecessor's outcome (the synchronous paths also apply every result
+// in hand before they drop a session).
+//
+// Memory. Each session has at most one pending job, which a newer export
+// replaces (serve.snapshots.coalesced), plus at most one write in flight:
+// at most two exported states per session, plus a couple of spare slots
+// and the writer's encode buffer.
 #pragma once
 
 #include <chrono>
@@ -85,6 +114,11 @@ class SessionManager {
   using Clock = std::chrono::steady_clock;
 
   explicit SessionManager(SessionConfig cfg);
+  /// Finishes the writes already handed to the snapshot writer, then stops it.
+  ~SessionManager();
+
+  SessionManager(const SessionManager&) = delete;
+  SessionManager& operator=(const SessionManager&) = delete;
 
   /// Outcome of an Open: either an immediate reply, or Queued (the reply
   /// arrives later through pump_queue, matched by cookie).
@@ -132,9 +166,21 @@ class SessionManager {
   /// Drops a queued Open whose connection went away.
   void cancel_queued(std::uint64_t cookie);
 
-  /// Persists every dirty session (no-op without a state_dir). The
-  /// graceful-shutdown path; also called by the server on a timer.
+  /// Persists every dirty session and returns once the files are durable
+  /// (no-op without a state_dir). The graceful-shutdown path.
   void snapshot_all();
+
+  /// Hands every dirty session to the snapshot writer and returns at once.
+  /// The server's timer path.
+  void schedule_snapshots();
+
+  /// Applies the results of finished asynchronous snapshots (see the header
+  /// comment). Cheap when there are none; the reactor calls it every loop.
+  void poll_snapshots();
+
+  /// Waits until the writer has finished every job handed to it so far,
+  /// then applies the results. A barrier for tests and tools.
+  void flush_snapshots();
 
   /// Loads every *.wlcs in state_dir into live sessions. Corrupt files are
   /// renamed to *.corrupt and counted, never half-loaded. Returns the
@@ -171,6 +217,10 @@ class SessionManager {
     std::vector<EventCount> ks_used;
     std::int64_t grid_cost = 0;
     std::int64_t bytes_cost = 0;
+    /// Manager-unique tag of this admission; writer results carry it.
+    std::uint64_t incarnation = 0;
+    /// Bumped by every push: names a stream position for writer results.
+    std::uint64_t version = 0;
     EventCount events_since_snapshot = 0;
     bool dirty = false;
     bool degraded = false;
@@ -198,10 +248,28 @@ class SessionManager {
   /// (Admit/Degrade) or failure (Reject); returns true when admitted.
   bool try_admit(const OpenRequest& req, bool allow_degrade, Reply* reply);
 
+  class SnapshotWriter;
+  struct SnapshotJob;
+  struct SnapshotResult;
+
   Session* find(const std::string& id);
   const Session* find(const std::string& id) const;
   std::string snapshot_path(const std::string& id) const;
+  /// Takes a fresh incarnation, leases the session's pool share and makes it
+  /// live (admit, migrate-in and recovery all end here).
+  Session& install(std::unique_ptr<Session> session);
+  /// Exports `s` into `slot`: the reactor's whole share of a snapshot.
+  SnapshotJob export_job(Session& s, std::unique_ptr<SessionSnapshot> slot);
+  /// Synchronous snapshot: durable before it returns.
   void snapshot_session(Session& s);
+  /// Asynchronous snapshot: exports and hands the job to the writer.
+  void queue_snapshot(Session& s);
+  /// Cancels the session's pending job and waits out its write in flight,
+  /// then applies the results in hand. Every synchronous path starts here.
+  void settle_writer(const std::string& id);
+  void apply_result(const SnapshotResult& r);
+  /// Releases a closed or migrated session's leases and forgets it.
+  void forget(const std::string& id);
   /// Fresh compact tier from the session's current curves; nullopt when
   /// tiering is off or the smallest window has not closed yet.
   std::optional<PwlTier> make_tier(const Session& s) const;
@@ -221,6 +289,10 @@ class SessionManager {
   std::int64_t grid_leased_ = 0;
   std::int64_t bytes_leased_ = 0;
   std::int64_t recovered_ = 0;
+  std::uint64_t next_incarnation_ = 1;
+  /// Started by the first asynchronous snapshot; declared last so it stops
+  /// before anything else here goes away.
+  std::unique_ptr<SnapshotWriter> writer_;
 };
 
 /// True iff `s` is a valid session id / tenant name: [A-Za-z0-9_.-],

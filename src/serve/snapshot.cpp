@@ -1,5 +1,7 @@
 #include "serve/snapshot.h"
 
+#include <cstring>
+
 #include "common/atomic_file.h"
 #include "serve/wire.h"
 
@@ -87,8 +89,7 @@ curve::CompactCurve read_compact(Reader& r) {
   }
 }
 
-std::string encode_payload(const SessionSnapshot& snap) {
-  Writer w;
+void encode_payload(Writer& w, const SessionSnapshot& snap) {
   w.str(snap.session_id);
   w.str(snap.tenant);
   const auto& e = snap.extractor;
@@ -117,7 +118,6 @@ std::string encode_payload(const SessionSnapshot& snap) {
   } else {
     w.u8(0);
   }
-  return w.take();
 }
 
 SessionSnapshot decode_payload(std::string_view payload, std::uint32_t version) {
@@ -184,15 +184,24 @@ SessionSnapshot decode_payload(std::string_view payload, std::uint32_t version) 
 }  // namespace
 
 std::string encode_snapshot(const SessionSnapshot& snap) {
-  const std::string payload = encode_payload(snap);
-  Writer w;
+  std::string out;
+  encode_snapshot_into(snap, &out);
+  return out;
+}
+
+void encode_snapshot_into(const SessionSnapshot& snap, std::string* out) {
+  Writer w(std::move(*out));
   for (char c : kSnapshotMagic) w.u8(static_cast<std::uint8_t>(c));
   w.u32(kSnapshotVersion);
-  w.u64(payload.size());
-  w.u32(crc32(payload));
-  std::string out = w.take();
-  out += payload;
-  return out;
+  w.u64(0);  // payload size and CRC, patched in once the payload is there
+  w.u32(0);
+  encode_payload(w, snap);
+  *out = w.take();
+  const std::string_view payload = std::string_view(*out).substr(kSnapshotHeaderBytes);
+  const std::uint64_t size = payload.size();
+  const std::uint32_t crc = crc32(payload);
+  std::memcpy(out->data() + kSnapshotMagic.size() + 4, &size, sizeof size);
+  std::memcpy(out->data() + kSnapshotMagic.size() + 12, &crc, sizeof crc);
 }
 
 SessionSnapshot decode_snapshot(std::string_view bytes) {

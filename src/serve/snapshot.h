@@ -76,6 +76,12 @@ struct SessionSnapshot {
 /// Serializes header + payload into one byte string.
 std::string encode_snapshot(const SessionSnapshot& snap);
 
+/// encode_snapshot() into `*out`, replacing its content but keeping its
+/// capacity: the payload is written in place after the header, so a
+/// long-lived buffer takes snapshot after snapshot without reallocating or
+/// copying the payload. The bytes equal encode_snapshot(snap).
+void encode_snapshot_into(const SessionSnapshot& snap, std::string* out);
+
 /// Strictly validates and decodes bytes produced by encode_snapshot.
 /// Throws wlc::ParseError on any corruption (see header comment).
 SessionSnapshot decode_snapshot(std::string_view bytes);

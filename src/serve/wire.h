@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -32,6 +33,10 @@ std::uint32_t crc32(std::string_view bytes);
 /// Append-only encoder. All scalars little-endian.
 class Writer {
  public:
+  Writer() = default;
+  /// Encodes into `buf`'s storage: its content is dropped, its capacity kept.
+  explicit Writer(std::string buf) : out_(std::move(buf)) { out_.clear(); }
+
   void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
   void u32(std::uint32_t v) { append(&v, sizeof v); }
   void u64(std::uint64_t v) { append(&v, sizeof v); }
@@ -44,16 +49,17 @@ class Writer {
     out_.append(s.data(), s.size());
   }
 
-  /// u32 count + count i64 values.
+  /// u32 count + count i64 values, in one copy: the elements' bytes are
+  /// exactly what i64() would append one by one.
   void vec_i64(const std::vector<std::int64_t>& v) {
     u32(static_cast<std::uint32_t>(v.size()));
-    for (std::int64_t x : v) i64(x);
+    append(v.data(), v.size() * sizeof(std::int64_t));
   }
 
   /// u32 count + count raw bytes.
   void vec_u8(const std::vector<std::uint8_t>& v) {
     u32(static_cast<std::uint32_t>(v.size()));
-    for (std::uint8_t x : v) u8(x);
+    append(v.data(), v.size());
   }
 
   const std::string& bytes() const { return out_; }

@@ -242,14 +242,21 @@ WorkloadCurve OnlineWorkloadExtractor::upper() const {
 
 OnlineExtractorState OnlineWorkloadExtractor::export_state() const {
   OnlineExtractorState s;
-  s.ks = ks_;
-  s.window_sum.reserve(ks_.size());
-  s.max_sum.reserve(ks_.size());
-  s.min_sum.reserve(ks_.size());
+  export_state_into(s);
+  return s;
+}
+
+void OnlineWorkloadExtractor::export_state_into(OnlineExtractorState& s) const {
+  // assign/resize keep the vectors' capacity, so a recycled state object
+  // takes the export without allocating.
+  s.ks.assign(ks_.begin(), ks_.end());
+  s.window_sum.resize(ks_.size());
+  s.max_sum.resize(ks_.size());
+  s.min_sum.resize(ks_.size());
   for (std::size_t i = 0; i < ks_.size(); ++i) {
-    s.window_sum.push_back(to_wide(window_sum_[i]));
-    s.max_sum.push_back(to_wide(max_sum_[i]));
-    s.min_sum.push_back(to_wide(min_sum_[i]));
+    s.window_sum[i] = to_wide(window_sum_[i]);
+    s.max_sum[i] = to_wide(max_sum_[i]);
+    s.min_sum[i] = to_wide(min_sum_[i]);
   }
   s.window_seen.assign(window_seen_.begin(), window_seen_.end());
   // The ring is the last max K demands, oldest at ring_pos_.
@@ -265,7 +272,6 @@ OnlineExtractorState OnlineWorkloadExtractor::export_state() const {
   s.clean_run = clean_run_;
   s.quarantined = quarantined_;
   s.windows_reset = windows_reset_;
-  return s;
 }
 
 OnlineWorkloadExtractor OnlineWorkloadExtractor::from_state(const OnlineExtractorState& s) {

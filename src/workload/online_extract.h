@@ -134,6 +134,11 @@ class OnlineWorkloadExtractor {
   /// with from_state() yields an extractor bit-identical to this one.
   OnlineExtractorState export_state() const;
 
+  /// export_state() into an existing object, reusing its vectors' capacity:
+  /// the serve daemon exports into a recycled slot on every snapshot, so a
+  /// steady stream of snapshots allocates nothing here.
+  void export_state_into(OnlineExtractorState& state) const;
+
   /// Rebuilds an extractor from an exported state. The state is validated
   /// structurally (consistent vector sizes, sorted window sizes, in-range
   /// ring position, coherent counters) and semantically (each running

@@ -11,9 +11,18 @@
 namespace wlc::cli {
 namespace {
 
+/// A temp path private to the running test. ctest runs every test as its
+/// own process, in parallel, so a fixed file name would be shared between
+/// tests that truncate each other's files.
+std::string temp_path(const std::string& stem) {
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "wlc_cli_" + test->test_suite_name() + "." + test->name() + "." +
+         stem;
+}
+
 /// Writes a bursty demo trace to a temp file; returns its path.
 std::string write_demo_trace() {
-  const std::string path = ::testing::TempDir() + "wlc_cli_trace.csv";
+  const std::string path = temp_path("trace.csv");
   common::Rng rng(321);
   trace::EventTrace events;
   double t = 0.0;
@@ -44,7 +53,7 @@ TEST(Cli, UsageOnBadInvocations) {
 
 TEST(Cli, CurvesSummaryAndExport) {
   const std::string path = write_demo_trace();
-  const std::string prefix = ::testing::TempDir() + "wlc_cli_out";
+  const std::string prefix = temp_path("out");
   std::ostringstream out, err;
   ASSERT_EQ(run({"curves", path, "--out", prefix}, out, err), 0) << err.str();
   EXPECT_NE(out.str().find("WCET"), std::string::npos);
@@ -98,8 +107,8 @@ TEST(Cli, ExtractIsThreadCountInvariant) {
   // count; at the CLI boundary that means byte-identical stdout and
   // byte-identical exported CSVs between --threads 1 and --threads 4.
   const std::string path = fixture("polling_clean.csv");
-  const std::string p1 = ::testing::TempDir() + "wlc_cli_t1";
-  const std::string p4 = ::testing::TempDir() + "wlc_cli_t4";
+  const std::string p1 = temp_path("t1");
+  const std::string p4 = temp_path("t4");
   std::ostringstream out1, err1, out4, err4;
   ASSERT_EQ(run({"extract", path, "--threads", "1", "--out", p1}, out1, err1), 0) << err1.str();
   ASSERT_EQ(run({"extract", path, "--threads", "4", "--out", p4}, out4, err4), 0) << err4.str();
@@ -220,7 +229,7 @@ TEST(CliValidate, UsageErrors) {
 }
 
 TEST(Cli, RejectsMalformedTrace) {
-  const std::string path = ::testing::TempDir() + "wlc_cli_bad.csv";
+  const std::string path = temp_path("bad.csv");
   std::ofstream(path) << "not,a,trace\n1,2\n";
   std::ostringstream out, err;
   EXPECT_EQ(run({"curves", path}, out, err), 2);
@@ -246,7 +255,7 @@ TEST(CliRuntime, KeyEqualsValueSyntaxWorks) {
 
 TEST(CliRuntime, TimeoutAbortsWithExitSixAndReportsDeadline) {
   const std::string path = write_demo_trace();
-  const std::string deg = ::testing::TempDir() + "wlc_cli_deg_timeout.json";
+  const std::string deg = temp_path("deg_timeout.json");
   std::ostringstream out, err;
   // 1 µs wall budget: the first checkpoint (command dispatch) trips before
   // any ingestion, deterministically on any machine.
@@ -267,7 +276,7 @@ TEST(CliRuntime, TimeoutAbortsWithExitSixAndReportsDeadline) {
 
 TEST(CliRuntime, TimeoutTripIsVisibleInMetricsSnapshot) {
   const std::string path = write_demo_trace();
-  const std::string metrics = ::testing::TempDir() + "wlc_cli_runtime_metrics.json";
+  const std::string metrics = temp_path("runtime_metrics.json");
   std::ostringstream out, err;
   EXPECT_EQ(run({"curves", path, "--timeout=0.000001", "--metrics-out", metrics}, out, err), 6);
   std::ifstream f(metrics);
@@ -288,7 +297,7 @@ TEST(CliRuntime, GridBudgetFailExitsSeven) {
 
 TEST(CliRuntime, GridBudgetDegradeSucceedsAndReports) {
   const std::string path = write_demo_trace();
-  const std::string deg = ::testing::TempDir() + "wlc_cli_deg_grid.json";
+  const std::string deg = temp_path("deg_grid.json");
   std::ostringstream out, err;
   EXPECT_EQ(run({"curves", path, "--max-grid", "4", "--on-budget", "degrade",
                  "--degradation-out", deg},

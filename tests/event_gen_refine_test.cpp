@@ -15,9 +15,11 @@ namespace {
 using trace::PjdModel;
 using trace::SporadicModel;
 
+// `name` is the last field, so the test names gtest lists (from the
+// parameter's raw bytes) do not carry a pointer that moves with the binary.
 struct PjdCase {
-  const char* name;
   PjdModel model;
+  const char* name;
 };
 
 class PjdConformance : public ::testing::TestWithParam<PjdCase> {};
@@ -69,10 +71,10 @@ TEST_P(PjdConformance, AdversarialTraceConformsAndIsTight) {
 
 INSTANTIATE_TEST_SUITE_P(
     Models, PjdConformance,
-    ::testing::Values(PjdCase{"no_jitter", {1.0, 0.0, 0.0}},
-                      PjdCase{"small_jitter", {1.0, 0.4, 0.0}},
-                      PjdCase{"big_jitter_spacing", {1.0, 3.5, 0.2}},
-                      PjdCase{"jitter_eq_period", {2.0, 2.0, 0.5}}),
+    ::testing::Values(PjdCase{{1.0, 0.0, 0.0}, "no_jitter"},
+                      PjdCase{{1.0, 0.4, 0.0}, "small_jitter"},
+                      PjdCase{{1.0, 3.5, 0.2}, "big_jitter_spacing"},
+                      PjdCase{{2.0, 2.0, 0.5}, "jitter_eq_period"}),
     [](const ::testing::TestParamInfo<PjdCase>& info) { return info.param.name; });
 
 TEST(Sporadic, GeneratedTracesConform) {

@@ -27,6 +27,15 @@ namespace {
 
 std::string fixture(const std::string& name) { return std::string(WLC_FIXTURE_DIR "/") + name; }
 
+/// A temp path private to the running test. ctest runs every test as its
+/// own process, in parallel, so a fixed file name would be shared between
+/// tests that truncate each other's files.
+std::string temp_path(const std::string& stem) {
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "wlc_obs_" + test->test_suite_name() + "." + test->name() + "." +
+         stem;
+}
+
 int count_occurrences(const std::string& haystack, const std::string& needle) {
   int n = 0;
   for (auto pos = haystack.find(needle); pos != std::string::npos;
@@ -410,8 +419,8 @@ TEST(ObsTracer, RingOverflowDropsOldestAndCounts) {
 TEST(ObsCli, PrimaryOutputIsByteIdenticalWithAndWithoutObsFlags) {
   // --metrics-out/--trace-out must never perturb the analysis stream.
   const std::string path = fixture("polling_clean.csv");
-  const std::string mpath = ::testing::TempDir() + "wlc_obs_m.json";
-  const std::string tpath = ::testing::TempDir() + "wlc_obs_t.json";
+  const std::string mpath = temp_path("m.json");
+  const std::string tpath = temp_path("t.json");
   std::ostringstream plain_out, plain_err, obs_out, obs_err;
   ASSERT_EQ(cli::run({"extract", path, "--threads", "2"}, plain_out, plain_err), 0)
       << plain_err.str();
@@ -429,7 +438,7 @@ TEST(ObsCli, PrimaryOutputIsByteIdenticalWithAndWithoutObsFlags) {
 TEST(ObsCli, MetricsOutCapturesPipelineCounters) {
   registry().reset_for_testing();
   const std::string path = fixture("polling_clean.csv");
-  const std::string mpath = ::testing::TempDir() + "wlc_obs_metrics.json";
+  const std::string mpath = temp_path("metrics.json");
   std::ostringstream out, err;
   ASSERT_EQ(cli::run({"extract", path, "--threads", "2", "--metrics-out", mpath}, out, err), 0)
       << err.str();
@@ -450,7 +459,7 @@ TEST(ObsCli, MetricsOutCapturesPipelineCounters) {
 TEST(ObsCli, TraceOutRecordsSpansFromAtLeastTwoThreads) {
   clear_trace_for_testing();
   const std::string path = fixture("polling_clean.csv");
-  const std::string tpath = ::testing::TempDir() + "wlc_obs_trace.json";
+  const std::string tpath = temp_path("trace.json");
   std::ostringstream out, err;
   ASSERT_EQ(cli::run({"extract", path, "--threads", "4", "--trace-out", tpath}, out, err), 0)
       << err.str();
@@ -485,7 +494,7 @@ TEST(ObsCli, ReportPrintsMetricSnapshot) {
 TEST(ObsCli, ReportAcceptsMetricsJsonInPlaceOfATrace) {
   registry().reset_for_testing();
   registry().counter("offline.count").add(42);
-  const std::string path = ::testing::TempDir() + "wlc_obs_report_in.json";
+  const std::string path = temp_path("report_in.json");
   {
     std::ofstream f(path);
     f << registry().snapshot().to_json();
@@ -499,7 +508,7 @@ TEST(ObsCli, ReportAcceptsMetricsJsonInPlaceOfATrace) {
 }
 
 TEST(ObsCli, ReportOnMismatchedSchemaVersionExitsTwo) {
-  const std::string path = ::testing::TempDir() + "wlc_obs_report_bad.json";
+  const std::string path = temp_path("report_bad.json");
   {
     std::ofstream f(path);
     f << "{\"schema_version\": 99, \"counters\": {}, \"gauges\": {}, \"histograms\": {}}\n";

@@ -180,6 +180,7 @@ TEST_F(FaultFs, EnospcDuringSnapshotDegradesToMemoryOnlyAndRecovers) {
   for (int i = 0; i < 16; ++i) push.demands.push_back(100 + i);
   const Reply r = mgr.push(push);  // crosses the cadence → snapshot → ENOSPC
   ASSERT_TRUE(std::get_if<PushReply>(&r) != nullptr);  // analysis unaffected
+  mgr.flush_snapshots();  // the cadence snapshot is written off the push path
 
   auto infos = mgr.describe_sessions();
   ASSERT_EQ(infos.size(), 1u);

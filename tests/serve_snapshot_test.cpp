@@ -7,6 +7,8 @@
 // admission/backpressure half lives in serve_admission_test.cpp).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +19,7 @@
 #include "common/atomic_file.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "obs/obs.h"
 #include "serve/session.h"
 #include "serve/snapshot.h"
 #include "serve/wire.h"
@@ -226,6 +229,40 @@ TEST(ServeSnapshot, CorruptSnapshotIsQuarantinedNamedInLogAndIdRestartsAtZero) {
   ASSERT_NE(ok, nullptr);
   EXPECT_FALSE(ok->resumed);
   EXPECT_EQ(ok->events_seen, 0);
+  std::filesystem::remove_all(dir);
+}
+
+// A process killed mid-write leaves <id>.wlcs.tmp.<pid> behind. Recovery
+// removes such files when <pid> is another process's, keeps this process's
+// own (a write of its may be in flight), and loads the real snapshots.
+TEST(ServeSnapshot, RecoverRemovesTempFilesOfDeadWriters) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("wlc_snap_orphans_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::string werr;
+  ASSERT_TRUE(common::atomic_write_file((dir / "sess-1.wlcs").string(),
+                                        encode_snapshot(demo_snapshot(40)), &werr))
+      << werr;
+  const auto orphan = dir / "sess-1.wlcs.tmp.4294967295";
+  const auto own = dir / ("sess-2.wlcs.tmp." + std::to_string(::getpid()));
+  const auto unrelated = dir / "notes.tmp.12";
+  for (const auto& p : {orphan, own, unrelated}) std::ofstream(p) << "partial";
+
+  obs::registry().reset_for_testing();
+  std::ostringstream log;
+  SessionConfig cfg;
+  cfg.state_dir = dir.string();
+  cfg.log = &log;
+  SessionManager mgr(cfg);
+  EXPECT_EQ(mgr.recover(), 1u);
+  EXPECT_FALSE(std::filesystem::exists(orphan)) << log.str();
+  EXPECT_TRUE(std::filesystem::exists(own));
+  EXPECT_TRUE(std::filesystem::exists(unrelated));
+  std::int64_t removed = 0;
+  for (const auto& c : obs::registry().snapshot().counters)
+    if (c.name == "serve.snapshots.orphans_removed") removed = c.value;
+  EXPECT_EQ(removed, 1);
   std::filesystem::remove_all(dir);
 }
 

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -135,6 +136,51 @@ TEST(ServeStats, StatsFrameAnswersQuantilesPoolAndSessions) {
   EXPECT_LE(it->quantile(0.50), it->quantile(0.99));
   EXPECT_GE(counter_value(snap, "serve.events.pushed"), 50);
   daemon.stop_and_join();
+}
+
+// Every snapshot stage is timed, on both sides of the writer thread, and
+// the Prometheus rendering of those metrics passes tools/lint_prom.py.
+TEST(ServeStats, SnapshotStageMetricsAppearAfterACadenceSnapshot) {
+  obs::registry().reset_for_testing();
+  ServerConfig cfg;
+  cfg.sessions.snapshot_every = 64;
+  const auto state = std::filesystem::temp_directory_path() /
+                     ("wlc_srv_obs_stages_state_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(state);
+  cfg.sessions.state_dir = state.string();
+  ObservedDaemon daemon("stages", cfg);
+  push_demo_session("unix:" + daemon.sock, "stage-sess", 100);  // crosses the cadence
+
+  Client client;
+  ASSERT_TRUE(client.connect("unix:" + daemon.sock)) << client.error();
+  std::string doc;
+  // The reactor applies the writer's result on its next loop iteration:
+  // the admit snapshot plus the cadence one.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (;;) {
+    Reply reply;
+    ASSERT_TRUE(client.call(StatsRequest{}, &reply)) << client.error();
+    ASSERT_TRUE(std::holds_alternative<StatsReply>(reply));
+    doc = std::get<StatsReply>(reply).json;
+    if (counter_value(obs::decode_metrics_json(doc), "serve.snapshots.written") >= 2) break;
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << doc;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  for (const char* name :
+       {"serve.snapshot_us", "serve.snapshot.hold_us", "serve.snapshot.queue_us",
+        "serve.snapshot.encode_us", "serve.snapshot.write_us", "serve.snapshot.fsync_us",
+        "serve.snapshots.coalesced", "serve.snapshots.pending"})
+    EXPECT_NE(doc.find(std::string("\"") + name + "\""), std::string::npos) << name;
+
+  const auto prom = daemon.dir / "stats.prom";
+  std::ofstream(prom) << obs::to_prometheus(obs::decode_metrics_json(doc));
+  if (std::system("python3 --version > /dev/null 2>&1") != 0)
+    GTEST_SKIP() << "no python3 to run tools/lint_prom.py";
+  const std::string lint = std::string("python3 ") + WLC_TOOLS_DIR + "/lint_prom.py < " +
+                           prom.string() + " > /dev/null";
+  EXPECT_EQ(std::system(lint.c_str()), 0);
+  daemon.stop_and_join();
+  std::filesystem::remove_all(state);
 }
 
 TEST(ServeStats, RequestLogWritesOneRecordPerFrame) {

@@ -27,14 +27,19 @@ Regression *tracking* (as opposed to one-shot gating) lives in the history
 mode: `compare_bench.py history <bench.json> --record` appends one JSONL
 entry (commit, host, per-benchmark times) to a committed history file, and
 `compare_bench.py history <bench.json> --last N` renders the per-benchmark
-trajectory across the last N recorded commits, flagging consecutive-commit
-slowdowns beyond the threshold. History rendering is always report-only —
-gating stays with the pairwise mode CI already runs.
+trajectory across the last N recorded commits of each host, flagging
+consecutive-commit slowdowns beyond the threshold. Rows are keyed on their
+host: a delta is only ever taken between consecutive rows from the same
+host. The end-to-end results of benchmark/run.sh (bench-out/results.json,
+or several per-run `wlc_e2e --out` files, pooled) are recorded as source
+"benchmark": per-workload medians of the four end-to-end metrics, with the
+host. History rendering is always report-only — gating stays with the
+pairwise mode CI already runs (and with benchmark/compare.py).
 
 Usage: tools/compare_bench.py baseline.json candidate.json
            [--threshold 0.10] [--metric real_time|cpu_time] [--no-fail]
            [--fail-on-host-mismatch]
-       tools/compare_bench.py history bench.json [--history-file F]
+       tools/compare_bench.py history bench.json|results.json... [--history-file F]
            [--record] [--commit SHA] [--last N] [--threshold T] [--metric M]
 """
 
@@ -43,14 +48,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 
 _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
-# The host-mismatch warning prints at most once per run: history mode
-# compares N-1 consecutive snapshot pairs, and repeating the same warning
-# once per pair buries the actual numbers under boilerplate.
+# The host-mismatch warning prints at most once per run.
 _host_mismatch_warned = False
 
 
@@ -140,10 +144,24 @@ def current_commit() -> str:
         return "unknown"
 
 
+# End-to-end results of benchmark/run.sh (bench-out/results.json, or the
+# per-run `wlc_e2e --out` files) are recorded under this source name. Their
+# entries carry per-workload medians of the end-to-end metrics under
+# "values" ("<workload> <metric>" -> median) with their units, instead of
+# google-benchmark's "times_ns".
+BENCHMARK_SOURCE = "benchmark"
+E2E_METRICS = ("setup_s", "op_ms_p50", "op_ms_tail", "peak_rss_mb")
+
+
+def values_key(e2e: bool) -> str:
+    """Where an entry keeps its numbers."""
+    return "values" if e2e else "times_ns"
+
+
 def load_history(path: str, source: str) -> list[dict]:
-    """Entries for `source` (bench file basename), oldest first. Lines that
-    don't parse or belong to another bench file are skipped, so one history
-    file can interleave several BENCH_*.json streams."""
+    """Entries for `source` (bench file basename, or "benchmark"), oldest
+    first. Lines that don't parse or belong to another source are skipped,
+    so one history file can interleave several streams."""
     entries: list[dict] = []
     if not os.path.exists(path):
         return entries
@@ -157,25 +175,139 @@ def load_history(path: str, source: str) -> list[dict]:
             except json.JSONDecodeError:
                 continue
             if isinstance(e, dict) and e.get("source") == source \
-                    and isinstance(e.get("times_ns"), dict):
+                    and isinstance(e.get(values_key(source == BENCHMARK_SOURCE)), dict):
                 entries.append(e)
     return entries
+
+
+def load_e2e_runs(paths: list[str]) -> list[dict]:
+    """Untraced run records of benchmark result files (traced runs time the
+    tracer too, so their end-to-end numbers are not comparable)."""
+    runs: list[dict] = []
+    for path in paths:
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                doc = json.load(f)
+        except (OSError, json.JSONDecodeError) as e:
+            die(f"error: cannot read benchmark results '{path}': {e}")
+        records = doc.get("runs") if isinstance(doc, dict) else None
+        if not isinstance(records, list) or not all(
+                isinstance(r, dict) and "workload" in r for r in records):
+            die(f"error: '{path}' has no 'runs' list of workload records "
+                "(not a benchmark/run.sh result file?)")
+        runs += [r for r in records if not r.get("trace")]
+    if not runs:
+        die("error: no untraced benchmark runs in " + ", ".join(paths))
+    return runs
+
+
+def e2e_host_id(runs: list[dict]) -> str:
+    hosts = {json.dumps(r.get("host", {}), sort_keys=True) for r in runs}
+    if len(hosts) > 1:
+        die("error: the benchmark results come from more than one host")
+    h = runs[0].get("host", {})
+    return (f"nproc={h.get('nproc', '?')} cpu_model={h.get('cpu_model', '?')} "
+            f"state_fs={h.get('state_fs', '?')}")
+
+
+def e2e_entry(runs: list[dict], commit: str) -> dict:
+    """Per-workload medians of the end-to-end metrics, with the host."""
+    samples: dict[str, list[float]] = {}
+    units: dict[str, str] = {}
+    for r in runs:
+        for name in E2E_METRICS:
+            m = r.get("metrics", {}).get(name)
+            if isinstance(m, dict) and isinstance(m.get("value"), (int, float)):
+                key = f"{r['workload']} {name}"
+                samples.setdefault(key, []).append(float(m["value"]))
+                units[key] = str(m.get("unit", ""))
+    counts: dict[str, int] = {}
+    for r in runs:
+        counts[r["workload"]] = counts.get(r["workload"], 0) + 1
+    return {
+        "commit": commit,
+        "host": e2e_host_id(runs),
+        "metric": "median",
+        "source": BENCHMARK_SOURCE,
+        "runs": counts,
+        "units": units,
+        "values": {k: statistics.median(v) for k, v in samples.items()},
+    }
+
+
+def results_commit(paths: list[str]) -> str | None:
+    """Short git sha recorded in the first result file, if any."""
+    try:
+        with open(paths[0], "r", encoding="utf-8") as f:
+            sha = json.load(f).get("git_sha")
+    except (OSError, json.JSONDecodeError, AttributeError):
+        return None
+    if not isinstance(sha, str) or not sha or sha == "unknown":
+        return None
+    head, _, dirty = sha.partition("-")
+    return head[:7] + (f"-{dirty}" if dirty else "")
+
+
+def is_e2e_results(path: str) -> bool:
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            doc = json.load(f)
+    except (OSError, json.JSONDecodeError):
+        return False
+    return isinstance(doc, dict) and isinstance(doc.get("runs"), list)
+
+
+def render_trajectory(entries: list[dict], key: str, fmt, threshold: float
+                      ) -> tuple[int, int]:
+    """Prints one host's table; returns (rows, consecutive regressions)."""
+    names = sorted({n for e in entries for n in e[key]})
+    commits = [str(e.get("commit", "?"))[:16] for e in entries]
+    width = max((len(n) for n in names), default=4)
+    print(f"{'benchmark':<{width}}  " + "  ".join(f"{c:>16}" for c in commits))
+    flagged = 0
+    for name in names:
+        cells, prev = [], None
+        for e in entries:
+            v = e[key].get(name)
+            if v is None:
+                cell = "—"
+            elif prev is None:
+                cell = fmt(e, name, v)
+            else:
+                delta = (v - prev) / prev if prev > 0 else 0.0
+                mark = ""
+                if delta > threshold:
+                    mark = "!"
+                    flagged += 1
+                elif delta < -threshold:
+                    mark = "+"
+                cell = f"{fmt(e, name, v)} {delta:+.0%}{mark}"
+            cells.append(f"{cell:>16}")
+            if v is not None:
+                prev = v
+        print(f"{name:<{width}}  " + "  ".join(cells))
+    return len(names), flagged
 
 
 def history_main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(
         prog="compare_bench.py history",
-        description="Track benchmark times across commits in a JSONL file")
-    ap.add_argument("bench", help="google-benchmark JSON file for this run")
+        description="Track benchmark results across commits in a JSONL file")
+    ap.add_argument("bench", nargs="+",
+                    help="google-benchmark JSON file for this run, or one or "
+                         "more benchmark/run.sh result files (source "
+                         f"'{BENCHMARK_SOURCE}': their runs are pooled)")
     ap.add_argument("--history-file", default="BENCH_history.jsonl",
                     help="committed JSONL trajectory (default "
                          "BENCH_history.jsonl next to the bench file's cwd)")
     ap.add_argument("--record", action="store_true",
                     help="append this run to the history file")
     ap.add_argument("--commit", default=None,
-                    help="commit id to record (default: git rev-parse HEAD)")
+                    help="commit id to record (default: the result file's "
+                         "git_sha, else git rev-parse HEAD)")
     ap.add_argument("--last", type=int, default=10,
-                    help="render the last N recorded runs (default 10)")
+                    help="render the last N recorded runs per host "
+                         "(default 10)")
     ap.add_argument("--threshold", type=float, default=0.10,
                     help="consecutive-commit slowdown flagged as REGRESSION")
     ap.add_argument("--metric", choices=("real_time", "cpu_time"),
@@ -186,67 +318,66 @@ def history_main(argv: list[str]) -> int:
     if args.last < 1:
         ap.error("--last must be >= 1")
 
-    source = os.path.basename(args.bench)
-    bench_data = load(args.bench)
+    e2e = is_e2e_results(args.bench[0])
+    if not e2e and len(args.bench) > 1:
+        ap.error("only benchmark/run.sh result files can be pooled")
+    source = BENCHMARK_SOURCE if e2e else os.path.basename(args.bench[0])
+    key = values_key(e2e)
 
     if args.record:
-        entry = {
-            "commit": args.commit or current_commit(),
-            "host": host_id(bench_data),
-            "metric": args.metric,
-            "source": source,
-            "times_ns": times_ns(bench_data, args.metric),
-        }
+        if e2e:
+            commit = args.commit or results_commit(args.bench) or current_commit()
+            entry = e2e_entry(load_e2e_runs(args.bench), commit)
+        else:
+            bench_data = load(args.bench[0])
+            entry = {
+                "commit": args.commit or current_commit(),
+                "host": host_id(bench_data),
+                "metric": args.metric,
+                "source": source,
+                "times_ns": times_ns(bench_data, args.metric),
+            }
         with open(args.history_file, "a", encoding="utf-8") as f:
             f.write(json.dumps(entry, sort_keys=True) + "\n")
-        print(f"recorded {len(entry['times_ns'])} benchmark(s) from "
+        print(f"recorded {len(entry[key])} benchmark(s) from "
               f"'{source}' at commit {entry['commit']} into "
               f"'{args.history_file}'")
+    elif not e2e:
+        load(args.bench[0])  # a broken bench file is still exit 2
 
-    entries = load_history(args.history_file, source)[-args.last:]
+    entries = load_history(args.history_file, source)
     if not entries:
         print(f"WARNING: no history for '{source}' in "
               f"'{args.history_file}'; record runs with --record",
               file=sys.stderr)
         return 0
 
-    # One warning per distinct host pair, however many snapshots disagree.
-    for prev, cur in zip(entries, entries[1:]):
-        if prev.get("host") != cur.get("host"):
-            warn_host_mismatch(str(prev.get("host")), str(cur.get("host")))
+    # One trajectory per host: a delta between rows from different hosts
+    # measures the hosts, not the commits, so none is ever computed.
+    by_host: dict[str, list[dict]] = {}
+    for e in entries:
+        by_host.setdefault(str(e.get("host")), []).append(e)
 
-    names = sorted({n for e in entries for n in e["times_ns"]})
-    commits = [str(e.get("commit", "?"))[:16] for e in entries]
-    width = max((len(n) for n in names), default=4)
-    print(f"{'benchmark':<{width}}  " + "  ".join(f"{c:>16}" for c in commits))
+    def fmt(e: dict, name: str, v: float) -> str:
+        if e2e:
+            return f"{v:.4g} {e.get('units', {}).get(name, '')}".rstrip()
+        return fmt_ns(v)
 
-    flagged = 0
-    for name in names:
-        cells, prev_ns = [], None
-        for e in entries:
-            ns = e["times_ns"].get(name)
-            if ns is None:
-                cell = "—"
-            elif prev_ns is None:
-                cell = fmt_ns(ns)
-            else:
-                delta = (ns - prev_ns) / prev_ns if prev_ns > 0 else 0.0
-                mark = ""
-                if delta > args.threshold:
-                    mark = "!"
-                    flagged += 1
-                elif delta < -args.threshold:
-                    mark = "+"
-                cell = f"{fmt_ns(ns)} {delta:+.0%}{mark}"
-            cells.append(f"{cell:>16}")
-            if ns is not None:
-                prev_ns = ns
-        print(f"{name:<{width}}  " + "  ".join(cells))
+    runs = rows = flagged = 0
+    for host, trajectory in by_host.items():
+        trajectory = trajectory[-args.last:]
+        print(f"host: {host}")
+        n, f = render_trajectory(trajectory, key, fmt, args.threshold)
+        print()
+        runs += len(trajectory)
+        rows = max(rows, n)
+        flagged += f
 
-    print(f"\n{len(entries)} run(s), {len(names)} benchmark(s); "
+    what = "median" if e2e else args.metric
+    print(f"{runs} run(s) on {len(by_host)} host(s), {rows} benchmark(s); "
           f"{flagged} consecutive-run REGRESSION(s) beyond "
-          f"{args.threshold:.0%} on {args.metric} (history is report-only; "
-          "gating happens in the pairwise mode)")
+          f"{args.threshold:.0%} on {what} (same-host rows only; history is "
+          "report-only, gating happens in the pairwise mode)")
     if flagged:
         print(f"REGRESSION: {flagged} consecutive-run slowdown(s) beyond "
               f"{args.threshold:.0%}", file=sys.stderr)

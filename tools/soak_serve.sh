@@ -189,6 +189,19 @@ wait_drain_sentinel() {  # $1 = request log path
   return 1
 }
 
+# After a graceful drain the state dir holds finished snapshots only: no
+# temp file of a write still in flight (each restart also deletes the ones
+# a kill -9 left behind) and nothing quarantined as .corrupt.
+check_state_dir() {  # $1 = state dir
+  local stray
+  stray="$(find "$1" -type f ! -name '*.wlcs' 2>/dev/null || true)"
+  if [[ -n "$stray" ]]; then
+    echo "files other than *.wlcs left in $1 after the drain:" >&2
+    echo "$stray" >&2
+    return 1
+  fi
+}
+
 stop_daemon_gracefully() {  # $1 = pid, $2 = request log; clears nothing
   kill -TERM "$1"
   wait "$1" || { echo "graceful drain exited non-zero" >&2; exit 1; }
@@ -256,6 +269,8 @@ stop_daemon_gracefully "$daemon_pid" "$work/requests.jsonl"
 daemon_pid=""
 check_request_log \
   || { echo "FAIL: request log torn after final drain" >&2; exit 1; }
+check_state_dir "$state" \
+  || { echo "FAIL: stray files in the state dir after the final drain" >&2; exit 1; }
 [[ -s "$work/requests.jsonl" ]] \
   || { echo "FAIL: request log is empty after the soak" >&2; exit 1; }
 
@@ -283,6 +298,8 @@ if [[ "$chaos" == 1 ]]; then
   daemon_b_pid=""
   check_request_log "$work/requests-b.jsonl" \
     || { echo "FAIL: peer request log torn after migration" >&2; exit 1; }
+  check_state_dir "$state" && check_state_dir "$state_b" \
+    || { echo "FAIL: stray files in a state dir after the migration drain" >&2; exit 1; }
   echo "== migration round: curves bit-identical to batch after live hand-off"
 fi
 
