@@ -3,8 +3,9 @@
 // The headline comparison is the shape-aware engine's dispatch ladder on the
 // same operands: naive O(n²) oracle vs cache-blocked dense kernel vs shape
 // fast path vs memo-cache hit, at n ∈ {256, 1024, 4096} on convex/concave
-// inputs (every rung is bit-identical; only the route differs — see
-// docs/architecture.md, "Curve algebra & dispatch"). tools/run_benchmarks.sh
+// inputs, and dense vs engine on the GPC's trace-staircase × non-dyadic
+// service-curve calls (every rung is bit-identical; only the route differs —
+// see docs/architecture.md, "Curve algebra & dispatch"). tools/run_benchmarks.sh
 // records these as BENCH_curve_ops.json. The PWL-compaction benches time the
 // bounded-error knot tier (10⁶-point fit/expand, knot kernels vs the dense
 // fast path on identical operands); the PWL and sup-diff benches cover the
@@ -138,7 +139,7 @@ void BM_ConcaveMaxPlusConv_Cached(benchmark::State& state) {
 }
 BENCHMARK(BM_ConcaveMaxPlusConv_Cached)->Arg(256)->Arg(1024)->Arg(4096);
 
-// ---- binary-search deconvolution fast path ---------------------------------
+// ---- deconvolution by a convex g (monotone-extrema kernel) -----------------
 
 void BM_ConcaveConvexMinPlusDeconv_Naive(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -157,6 +158,78 @@ void BM_ConcaveConvexMinPlusDeconv_FastPath(benchmark::State& state) {
 }
 BENCHMARK(BM_ConcaveConvexMinPlusDeconv_FastPath)->Arg(256)->Arg(1024)->Arg(4096);
 
+// ---- trace-derived f against a non-dyadic service curve ---------------------
+//
+// The GPC's four operator calls: an integer cycle staircase against
+// β = F·(dt·i), whose rounded increments wobble by an ulp, so shape() reads
+// it General and only the near-convex kernel avoids the dense route.
+
+DiscreteCurve service_curve(std::size_t n) {
+  const double dt = 0.7 / static_cast<double>(n - 1);
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = 364.4e6 * (dt * static_cast<double>(i));
+  return DiscreteCurve(std::move(v), dt);
+}
+
+/// Integer cycle staircase with flat runs, growing at ~80% of `beta`'s rate.
+DiscreteCurve trace_staircase(const DiscreteCurve& beta, std::uint64_t seed) {
+  common::Rng rng(seed);
+  const std::size_t n = beta.size();
+  const double step = beta[n - 1] / static_cast<double>(n - 1);
+  const auto jump = static_cast<std::int64_t>(2.0 * 0.8 * step / 0.4);
+  std::vector<double> v{0.0};
+  for (std::size_t i = 1; i < n; ++i)
+    v.push_back(v.back() + (rng.bernoulli(0.4) ? static_cast<double>(rng.uniform_int(1, jump))
+                                                : 0.0));
+  return DiscreteCurve(std::move(v), beta.dt());
+}
+
+void BM_TraceServiceMinPlusConv_Dense(benchmark::State& state) {
+  const DiscreteCurve beta = service_curve(static_cast<std::size_t>(state.range(0)));
+  const DiscreteCurve f = trace_staircase(beta, 11);
+  for (auto _ : state) benchmark::DoNotOptimize(engine::min_plus_conv_dense(f, beta));
+}
+BENCHMARK(BM_TraceServiceMinPlusConv_Dense)->Arg(1024)->Arg(4096);
+
+void BM_TraceServiceMinPlusConv_Engine(benchmark::State& state) {
+  const DiscreteCurve beta = service_curve(static_cast<std::size_t>(state.range(0)));
+  const DiscreteCurve f = trace_staircase(beta, 11);
+  set_engine(/*fast_paths=*/true, /*use_cache=*/false);
+  for (auto _ : state) benchmark::DoNotOptimize(DiscreteCurve::min_plus_conv(f, beta));
+}
+BENCHMARK(BM_TraceServiceMinPlusConv_Engine)->Arg(1024)->Arg(4096);
+
+void BM_TraceServiceMinPlusDeconv_Dense(benchmark::State& state) {
+  const DiscreteCurve beta = service_curve(static_cast<std::size_t>(state.range(0)));
+  const DiscreteCurve f = trace_staircase(beta, 12);
+  for (auto _ : state) benchmark::DoNotOptimize(engine::min_plus_deconv_dense(f, beta));
+}
+BENCHMARK(BM_TraceServiceMinPlusDeconv_Dense)->Arg(1024)->Arg(4096);
+
+void BM_TraceServiceMinPlusDeconv_Engine(benchmark::State& state) {
+  const DiscreteCurve beta = service_curve(static_cast<std::size_t>(state.range(0)));
+  const DiscreteCurve f = trace_staircase(beta, 12);
+  set_engine(/*fast_paths=*/true, /*use_cache=*/false);
+  for (auto _ : state) benchmark::DoNotOptimize(DiscreteCurve::min_plus_deconv(f, beta));
+}
+BENCHMARK(BM_TraceServiceMinPlusDeconv_Engine)->Arg(1024)->Arg(4096);
+
+// f = g = β ties every split to within an ulp: the kernel stops at its work
+// cap and the engine finishes on the dense kernel. The gap between the two
+// rows is what the attempt costs.
+void BM_ServiceSelfConv_Dense(benchmark::State& state) {
+  const DiscreteCurve beta = service_curve(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) benchmark::DoNotOptimize(engine::min_plus_conv_dense(beta, beta));
+}
+BENCHMARK(BM_ServiceSelfConv_Dense)->Arg(4096);
+
+void BM_ServiceSelfConv_EngineCapped(benchmark::State& state) {
+  const DiscreteCurve beta = service_curve(static_cast<std::size_t>(state.range(0)));
+  set_engine(/*fast_paths=*/true, /*use_cache=*/false);
+  for (auto _ : state) benchmark::DoNotOptimize(DiscreteCurve::min_plus_conv(beta, beta));
+}
+BENCHMARK(BM_ServiceSelfConv_EngineCapped)->Arg(4096);
+
 // ---- general-shape operands (dense route through the public API) -----------
 
 void BM_MinPlusConv(benchmark::State& state) {
@@ -168,17 +241,6 @@ void BM_MinPlusConv(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_MinPlusConv)->Range(64, 4096)->Complexity(benchmark::oNSquared);
-
-void BM_MinPlusConvConvexFastPath(benchmark::State& state) {
-  // The standalone convex kernel (increment merge), kept for comparison with
-  // the engine's index-tracked merge above.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const DiscreteCurve f = random_convex(n, 3);
-  const DiscreteCurve g = random_convex(n, 4);
-  for (auto _ : state) benchmark::DoNotOptimize(DiscreteCurve::min_plus_conv_convex(f, g));
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_MinPlusConvConvexFastPath)->Range(64, 4096)->Complexity(benchmark::oN);
 
 void BM_MinPlusDeconv(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

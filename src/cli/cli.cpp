@@ -1311,7 +1311,7 @@ std::string usage() {
          "  --curve-cache BYTES  capacity of the curve-operation memo cache\n"
          "                       (default 16 MiB; 0 disables). results are\n"
          "                       bit-identical with or without the cache\n"
-         "  --no-fast-paths      disable the shape-aware O(n) curve kernels\n"
+         "  --no-fast-paths      disable the shape-aware curve kernels\n"
          "                       (dense kernel everywhere) and the shared\n"
          "                       sliding-window extraction index (per-k\n"
          "                       oracle scans instead).\n"

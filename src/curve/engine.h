@@ -11,23 +11,30 @@
 //        · constant operand        → running/suffix extremum, O(n)
 //        · convex ⊗ convex (min,+) → index-tracked slope merge, O(n)
 //        · concave ⊗ concave      → endpoint rule, O(n)
-//        · convex/concave deconv  → endpoint rule or per-point binary
-//                                   search on the unimodal split objective,
-//                                   O(n) / O(n log n)
-//   3. Otherwise the cache-blocked dense kernel (same O(n²) flop count as
+//        · convex ⊘ concave        → endpoint rule, O(n)
+//   3. A near-convex operand — convex up to a band at rounding level,
+//      certified per call (near-concave for the (max,+) forms) — on either
+//      side of a conv, or as the g of a deconv → monotone row extrema,
+//      O(n log n). This is the GPC's α against β = F·Δ, whose rounded
+//      increments wobble, so shape() reads it General. On near-ties the
+//      kernel stops at a work cap (curve.monge.capped) and falls through.
+//   4. Otherwise the cache-blocked dense kernel (same O(n²) flop count as
 //      the oracle, tiled over split points for locality).
 //
-// Bit-identity discipline: every fast path emits exactly the expression the
-// oracle evaluates at the optimal split — fl(f[a] + g[b]) or
-// fl(f[i+k] − g[k]) — never an algebraically equal rearrangement (running
-// increment sums drift by ulps; see min_plus_conv_convex for the legacy
-// accumulating form, which is deliberately NOT used here). Shape
-// classification uses exact (tol = 0) comparisons on the *rounded* sample
-// increments, so the optimality arguments hold for the doubles actually
-// stored, and fl(·) monotonicity (a ≤ b ⇒ fl(a+c) ≤ fl(b+c)) turns
-// extremum-of-rounded into rounded-of-extremum. The differential suite
+// Bit-identity discipline: every kernel emits exactly the expression the
+// oracle evaluates at a split — fl(f[a] + g[b]) or fl(f[i+k] − g[k]) — never
+// an algebraically equal rearrangement (running increment sums drift by
+// ulps). fl(·) is monotone (a ≤ b ⇒ fl(a+c) ≤ fl(b+c)), so the extremum over
+// any set of splits that holds a split optimal in real arithmetic is the
+// oracle's extremum. The O(n) rows find that split from exact (tol = 0)
+// shape comparisons on the *rounded* sample increments. The monotone kernel
+// keeps it in range from a certified defect: if g is within a band of width
+// ε of a convex function, a split optimal for one row is within 2ε of the
+// optimum of every row it could be pruned from, and the kernel prunes only
+// splits farther than τ ≥ 2ε (engine.cpp has the argument). Ties between
+// ±0 go to the split the oracle visits first. The differential suite
 // (tests/curve_engine_test.cpp, CTest label `curve`) enforces byte equality
-// across shapes × sizes × operators.
+// across shapes × sizes × operators, and on non-dyadic service curves.
 // Compact dispatch (PWL tier): apply_compact mirrors apply for CompactCurve
 // operands — cache → knot-level kernel when the operand PWL shapes admit
 // one → expand-to-dense fallback (dense apply, then an *exact* eps=0
@@ -66,12 +73,18 @@ void set_config(const Config& cfg);
 struct DispatchStats {
   std::int64_t fast = 0;
   std::int64_t dense = 0;
+  std::int64_t capped = 0;  ///< near-convex kernel gave up at its work cap (also in dense)
   std::int64_t compact_knot = 0;    ///< apply_compact served by a knot kernel
   std::int64_t compact_expand = 0;  ///< apply_compact fell back to expansion
 };
 
 DispatchStats dispatch_stats();
 void reset_stats_for_testing();
+
+/// The near-convex kernel runs only when its operand's certified defect ε is
+/// at most this many u·max|g| (u = 2⁻⁵³): a band at rounding level. A
+/// constant of the kernel, not a setting; exposed for the tests.
+inline constexpr double kNearConvexDefectGate = 1024.0;
 
 /// Full dispatch: cache → fast path → dense. Bit-identical to the oracle.
 DiscreteCurve apply(CurveOp op, const DiscreteCurve& f, const DiscreteCurve& g);

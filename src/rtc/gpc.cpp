@@ -9,7 +9,10 @@ using curve::DiscreteCurve;
 
 // The six curve-algebra applications below all route through the shape-aware
 // engine (curve/engine.h): the zero curves built for the remaining-service
-// bounds are Constant, so βˡ'/βᵘ' always take an O(n) fast path, and chain /
+// bounds are Constant, so βˡ'/βᵘ' always take an O(n) fast path. The four
+// calls that pair a stream curve with β take the O(n log n) monotone kernel
+// whenever β is convex up to rounding, as a rate or rate-latency service
+// curve sampled on any grid is; the stream curve may have any shape. Chain /
 // fixed-priority analyses that revisit operand pairs hit the OpCache.
 GpcResult analyze_gpc(const StreamBounds& input, const ResourceBounds& resource) {
   WLC_TRACE_SPAN("rtc.gpc");

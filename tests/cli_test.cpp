@@ -3,9 +3,12 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "cli/cli.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "trace/io.h"
 
 namespace wlc::cli {
@@ -100,6 +103,35 @@ std::string slurp(const std::string& path) {
   std::ostringstream ss;
   ss << f.rdbuf();
   return ss.str();
+}
+
+TEST(Cli, BoundsIsByteIdenticalWithoutFastPathsAndRunsNoDenseCall) {
+  // One GPC step against β = 364.4 MHz·Δ on a 4,096-point grid. β's rounded
+  // increments wobble, so only the near-convex kernel keeps its four
+  // operator calls off the dense route. The memo cache is off, so each run
+  // computes every call.
+  const std::string path = write_demo_trace();
+  const std::string metrics = temp_path("metrics.json");
+  const std::vector<std::string> args = {"bounds", path, "--grid", "4096", "--mhz", "364.4",
+                                         "--curve-cache", "0"};
+  obs::registry().reset_for_testing();
+  std::vector<std::string> with_metrics = args;
+  with_metrics.insert(with_metrics.end(), {"--metrics-out", metrics});
+  std::ostringstream fast, dense, err;
+  ASSERT_EQ(run(with_metrics, fast, err), 0) << err.str();
+  std::vector<std::string> no_fast = args;
+  no_fast.push_back("--no-fast-paths");
+  ASSERT_EQ(run(no_fast, dense, err), 0) << err.str();
+  EXPECT_NE(fast.str().find("backlog [cycles]"), std::string::npos);
+  EXPECT_EQ(fast.str(), dense.str());
+
+  std::ifstream f(metrics);
+  ASSERT_TRUE(f.good());
+  std::stringstream json;
+  json << f.rdbuf();
+  EXPECT_NE(json.str().find("\"curve.dispatch.fast\": 6,"), std::string::npos) << json.str();
+  EXPECT_NE(json.str().find("\"curve.dispatch.dense\": 0,"), std::string::npos) << json.str();
+  std::remove(metrics.c_str());
 }
 
 TEST(Cli, ExtractIsThreadCountInvariant) {

@@ -1,20 +1,25 @@
 // Differential and unit tests for the shape-aware curve-algebra engine.
 //
 // The contract under test is strict bit-identity: whatever route engine::apply
-// takes — memo cache, shape fast path, or cache-blocked dense kernel — the
-// result bytes must equal the naive O(n²) oracle's
-// (DiscreteCurve::*_naive). The differential matrix therefore compares raw
-// IEEE-754 bit patterns, not values-within-tolerance. Inputs are dyadic
-// rationals (integers × 2⁻⁸), matching the exact-increment regime of real
-// traces (integer cycle counts), where every sum/difference the kernels form
-// is exactly representable.
+// takes — memo cache, shape fast path, near-convex monotone kernel, or
+// cache-blocked dense kernel — the result bytes must equal the naive O(n²)
+// oracle's (DiscreteCurve::*_naive). The differential matrix therefore
+// compares raw IEEE-754 bit patterns, not values-within-tolerance. Its inputs
+// are dyadic rationals (integers × 2⁻⁸), matching the exact-increment regime
+// of real traces (integer cycle counts), where every sum/difference the
+// kernels form is exactly representable. The near-convex rows add the
+// inexact regime: service curves F·(dt·i) on non-dyadic grids, whose rounded
+// increments wobble by an ulp.
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,6 +28,10 @@
 #include "curve/discrete_curve.h"
 #include "curve/engine.h"
 #include "curve/op_cache.h"
+#include "rtc/gpc.h"
+#include "trace/arrival_extract.h"
+#include "trace/kgrid.h"
+#include "workload/extract.h"
 
 namespace wlc::curve {
 namespace {
@@ -211,18 +220,21 @@ TEST_F(CurveEngineTest, DispatchStatsSeparateFastFromDense) {
   EXPECT_EQ(engine::dispatch_stats().fast, 2);
   DiscreteCurve::max_plus_conv(gen, cst);  // constant operand
   EXPECT_EQ(engine::dispatch_stats().fast, 3);
-  DiscreteCurve::min_plus_deconv(cv, cx);  // concave ⊘ convex binary search
+  DiscreteCurve::min_plus_deconv(cv, cx);  // ⊘ convex: monotone extrema
   EXPECT_EQ(engine::dispatch_stats().fast, 4);
-  DiscreteCurve::max_plus_deconv(cx, cv);  // convex ⊘̄ concave binary search
+  DiscreteCurve::max_plus_deconv(cx, cv);  // ⊘̄ concave: monotone extrema
   EXPECT_EQ(engine::dispatch_stats().fast, 5);
   EXPECT_EQ(engine::dispatch_stats().dense, 0);
 
   DiscreteCurve::min_plus_conv(gen, gen);  // no shape to exploit
   EXPECT_EQ(engine::dispatch_stats().fast, 5);
   EXPECT_EQ(engine::dispatch_stats().dense, 1);
-  // Mixed convex/concave conv admits no fast path either.
-  DiscreteCurve::min_plus_conv(cx, cv);
+  // A convex operand serves the (min,+) conv, not the (max,+) one.
+  DiscreteCurve::max_plus_conv(gen, cx);
   EXPECT_EQ(engine::dispatch_stats().dense, 2);
+  DiscreteCurve::min_plus_conv(cx, cv);
+  EXPECT_EQ(engine::dispatch_stats().fast, 6);
+  EXPECT_EQ(engine::dispatch_stats().capped, 0);
 }
 
 TEST_F(CurveEngineTest, ShapeClassificationIsExactAndCached) {
@@ -247,6 +259,313 @@ TEST_F(CurveEngineTest, ShapeClassificationIsExactAndCached) {
   // Copies carry the cached classification (same values — same shape).
   const DiscreteCurve copy = cx;
   EXPECT_EQ(copy.shape(), DiscreteCurve::Shape::Convex);
+}
+
+// ---------------------------------------------------------------------------
+// Near-convex operands: the monotone-extrema kernel against service curves
+// whose rounded increments wobble, on all four operators.
+// ---------------------------------------------------------------------------
+
+constexpr double kMhz = 364.4e6;  // the paper's Fig. 7 clock, non-dyadic
+constexpr double kHorizon = 0.7;  // seconds; dt = kHorizon / (n − 1) is non-dyadic too
+
+/// β = F·(dt·i), built exactly as `wlc_analyze bounds` and the gpc-bounds
+/// benchmark build the service curve; latency > 0 gives the rate-latency
+/// form F·max(0, dt·i − T).
+DiscreteCurve service_curve(std::size_t n, double latency = 0.0) {
+  const double dt = kHorizon / static_cast<double>(std::max<std::size_t>(n, 2) - 1);
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i)
+    v[i] = kMhz * std::max(0.0, dt * static_cast<double>(i) - latency);
+  return DiscreteCurve(std::move(v), dt);
+}
+
+/// F·dt·i·(1 + i/n): strictly convex, with non-dyadic samples.
+DiscreteCurve convex_service_curve(std::size_t n, double dt) {
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = static_cast<double>(i);
+    v[i] = kMhz * dt * x * (1.0 + x / static_cast<double>(n));
+  }
+  return DiscreteCurve(std::move(v), dt);
+}
+
+/// An exactly affine dyadic ramp with a random half of its samples nudged up
+/// by one ulp, so its increments differ by an ulp either way.
+DiscreteCurve ulp_wobble_ramp(std::size_t n, double dt, Rng& rng) {
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = 48000.0 * static_cast<double>(i);
+    if (rng.bernoulli(0.5)) v[i] = std::nextafter(v[i], std::numeric_limits<double>::infinity());
+  }
+  return DiscreteCurve(std::move(v), dt);
+}
+
+/// A dyadic ramp plus noise in [0, 0.4·gate·u·max|g|]: convex only up to a
+/// band well above rounding level, still inside the kernel's gate. The band,
+/// not rounding, then sets how far apart the splits the kernel keeps may be.
+DiscreteCurve noisy_ramp(std::size_t n, double dt, Rng& rng) {
+  const double band =
+      0.4 * engine::kNearConvexDefectGate * 0x1.0p-53 * 48000.0 * static_cast<double>(n);
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i)
+    v[i] = 48000.0 * static_cast<double>(i) + rng.uniform(0.0, band);
+  return DiscreteCurve(std::move(v), dt);
+}
+
+enum class TraceKind { Staircase, FlatRuns, RunsAtSlope };
+
+const char* name_of(TraceKind k) {
+  switch (k) {
+    case TraceKind::Staircase: return "staircase";
+    case TraceKind::FlatRuns: return "flat-runs";
+    case TraceKind::RunsAtSlope: return "runs-at-g-slope";
+  }
+  return "?";
+}
+
+/// A trace-derived demand curve against g: integer cycle staircases growing
+/// at ~80% of g's rate (with short or long flat runs), or runs that copy g's
+/// own rounded increments — every split along such a run ties to within an
+/// ulp.
+DiscreteCurve trace_curve(TraceKind kind, std::size_t n, const DiscreteCurve& g, Rng& rng) {
+  const double step = g.size() > 1 ? g[g.size() - 1] / static_cast<double>(g.size() - 1) : 1.0;
+  const double flat = kind == TraceKind::FlatRuns ? 0.97 : 0.6;
+  const auto jump = static_cast<std::int64_t>(2.0 * 0.8 * std::max(step, 1.0) / (1.0 - flat));
+  std::vector<double> v(n);
+  double acc = 0.0;
+  bool copying = false;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (kind == TraceKind::RunsAtSlope && i % 512 == 0) copying = !copying;
+    if (copying && i < g.size()) {
+      acc += g[i] - g[i - 1];
+    } else if (!rng.bernoulli(flat)) {
+      acc += static_cast<double>(rng.uniform_int(1, jump));
+    }
+    v[i] = acc;
+  }
+  return DiscreteCurve(std::move(v), g.dt());
+}
+
+DiscreteCurve negated(const DiscreteCurve& c) { return -1.0 * c; }
+
+TEST_F(CurveEngineTest, NearConvexServiceCurvesAreNotShapeConvex) {
+  // The reason the kernel exists: shape() reads these as General.
+  EXPECT_EQ(service_curve(4096).shape(), DiscreteCurve::Shape::General);
+  EXPECT_EQ(service_curve(4096, 0.2 * kHorizon).shape(), DiscreteCurve::Shape::General);
+  Rng rng(0x0B1ULL);
+  EXPECT_EQ(ulp_wobble_ramp(4096, 0.5, rng).shape(), DiscreteCurve::Shape::General);
+}
+
+TEST_F(CurveEngineTest, NearConvexRowsBitIdenticalOnAllFourOperators) {
+  Rng rng(0x6E4C0ULL);
+  constexpr TraceKind kTraces[] = {TraceKind::Staircase, TraceKind::FlatRuns,
+                                   TraceKind::RunsAtSlope};
+  for (std::size_t n : {1, 2, 3, 4096}) {
+    // (f size, g size): equal, g shorter, f shorter.
+    const std::pair<std::size_t, std::size_t> sizes[] = {
+        {n, n}, {n, n / 3 + 1}, {n / 3 + 1, n}};
+    for (const auto& [nf, ng] : sizes) {
+      Rng wobble(rng());
+      const DiscreteCurve affine = service_curve(ng);
+      const DiscreteCurve services[] = {affine, service_curve(ng, 0.01 * kHorizon),
+                                        service_curve(ng, 0.2 * kHorizon),
+                                        convex_service_curve(ng, affine.dt()),
+                                        ulp_wobble_ramp(ng, affine.dt(), wobble),
+                                        noisy_ramp(ng, affine.dt(), wobble)};
+      for (std::size_t service = 0; service < std::size(services); ++service)
+        for (TraceKind kind : kTraces) {
+          const DiscreteCurve& beta = services[service];
+          const DiscreteCurve f = trace_curve(kind, nf, beta, rng);
+          // The (min,+) forms pair f with β (near-convex), the (max,+) duals
+          // with −β (near-concave); the conv takes it on either side.
+          const DiscreteCurve nbeta = negated(beta);
+          const std::tuple<CurveOp, const DiscreteCurve*, const DiscreteCurve*> rows[] = {
+              {CurveOp::MinPlusConv, &f, &beta},     {CurveOp::MinPlusConv, &beta, &f},
+              {CurveOp::MinPlusDeconv, &f, &beta},   {CurveOp::MaxPlusConv, &f, &nbeta},
+              {CurveOp::MaxPlusConv, &nbeta, &f},    {CurveOp::MaxPlusDeconv, &f, &nbeta}};
+          for (const auto& [op, a, b] : rows) {
+            const auto before = engine::dispatch_stats();
+            const DiscreteCurve got = run_engine(op, *a, *b);
+            const auto after = engine::dispatch_stats();
+            const std::string what = std::string(name_of(op)) + " f=" + name_of(kind) + "[" +
+                                     std::to_string(a->size()) + "] g" +
+                                     std::to_string(service) + "[" +
+                                     std::to_string(b->size()) + "] capped " +
+                                     std::to_string(after.capped - before.capped);
+            EXPECT_TRUE(BitIdentical(got, run_naive(op, *a, *b))) << what;
+            // The kernel serves every row without near-ties whole. Runs at
+            // g's slope tie, and so do long flat runs against the flat
+            // latency part of a rate-latency β; those may hit the cap.
+            const bool ties = kind == TraceKind::RunsAtSlope ||
+                              (kind == TraceKind::FlatRuns && beta.size() > 1 &&
+                               beta[1] == beta[0]);
+            if (n == 4096 && !ties) {
+              EXPECT_EQ(after.fast - before.fast, 1) << what;
+              EXPECT_EQ(after.dense - before.dense, 0) << what;
+            }
+          }
+        }
+    }
+  }
+}
+
+TEST_F(CurveEngineTest, NearTieSelfConvolutionHitsTheWorkCapAndStaysExact) {
+  // f = g = β: every split of row i sums to F·dt·i within an ulp, so no
+  // column range shrinks. The kernel stops at its work cap and the call runs
+  // (and counts as) dense.
+  const DiscreteCurve beta = service_curve(4096);
+  const DiscreteCurve nbeta = negated(beta);
+  EXPECT_TRUE(BitIdentical(DiscreteCurve::min_plus_conv(beta, beta),
+                           engine::min_plus_conv_dense(beta, beta)));
+  EXPECT_TRUE(BitIdentical(DiscreteCurve::max_plus_conv(nbeta, nbeta),
+                           engine::max_plus_conv_dense(nbeta, nbeta)));
+  const auto s = engine::dispatch_stats();
+  EXPECT_EQ(s.capped, 2);
+  EXPECT_EQ(s.dense, 2);
+  EXPECT_EQ(s.fast, 0);
+}
+
+TEST_F(CurveEngineTest, DefectAboveTheGateGoesDense) {
+  // An exactly affine dyadic ramp with one sample lifted by δ: the lower
+  // hull skips that sample, so the certified defect is at least δ.
+  constexpr std::size_t kN = 1024;
+  Rng rng(0xB4A9ULL);
+  const auto lifted = [](double delta) {
+    std::vector<double> v(kN);
+    for (std::size_t i = 0; i < kN; ++i) v[i] = 48000.0 * static_cast<double>(i);
+    v[kN / 2] += delta;
+    return DiscreteCurve(std::move(v), 0.5);
+  };
+  const double max_g = 48000.0 * static_cast<double>(kN - 1);
+  const double unit = engine::kNearConvexDefectGate * 0x1.0p-53 * max_g;
+  const DiscreteCurve above = lifted(1.25 * unit);
+  const DiscreteCurve below = lifted(0.25 * unit);
+  const DiscreteCurve f = trace_curve(TraceKind::Staircase, kN, above, rng);
+  ASSERT_EQ(above.shape(), DiscreteCurve::Shape::General);
+  ASSERT_EQ(below.shape(), DiscreteCurve::Shape::General);
+
+  for (CurveOp op : {CurveOp::MinPlusConv, CurveOp::MinPlusDeconv}) {
+    engine::reset_stats_for_testing();
+    EXPECT_TRUE(BitIdentical(run_engine(op, f, above), run_naive(op, f, above))) << name_of(op);
+    EXPECT_EQ(engine::dispatch_stats().dense, 1) << name_of(op);
+    EXPECT_EQ(engine::dispatch_stats().capped, 0) << name_of(op);
+    EXPECT_TRUE(BitIdentical(run_engine(op, f, below), run_naive(op, f, below))) << name_of(op);
+    EXPECT_EQ(engine::dispatch_stats().fast, 1) << name_of(op);
+  }
+}
+
+TEST_F(CurveEngineTest, NonFiniteSamplesGoDense) {
+  DiscreteCurve beta = service_curve(64);
+  std::vector<double> fv(64, 0.0);
+  for (std::size_t i = 1; i < fv.size(); ++i) fv[i] = fv[i - 1] + (i % 3 == 0 ? 5e7 : 0.0);
+  fv[40] = std::numeric_limits<double>::infinity();
+  const DiscreteCurve f(std::move(fv), beta.dt());
+  for (CurveOp op : {CurveOp::MinPlusConv, CurveOp::MinPlusDeconv}) {
+    EXPECT_TRUE(BitIdentical(run_engine(op, f, beta), run_naive(op, f, beta))) << name_of(op);
+  }
+  EXPECT_EQ(engine::dispatch_stats().fast, 0);
+  EXPECT_EQ(engine::dispatch_stats().dense, 2);
+}
+
+TEST_F(CurveEngineTest, SignedZeroTiesFollowTheOracle) {
+  // A zero extremum with both signs among its candidates: the result's sign
+  // is the one of the candidate the oracle visits first.
+  const double z = -0.0;
+  const DiscreteCurve f(std::vector<double>{z, z, 0.0, z, 1.0, 3.0}, 1.0);
+  const DiscreteCurve g(std::vector<double>{0.0, z, 0.0, 2.0, 5.0, 9.0}, 1.0);
+  const DiscreteCurve gn = negated(g);
+  for (CurveOp op : kOps) {
+    const DiscreteCurve& h = (op == CurveOp::MinPlusConv || op == CurveOp::MinPlusDeconv) ? g : gn;
+    EXPECT_TRUE(BitIdentical(run_engine(op, f, h), run_naive(op, f, h))) << name_of(op);
+    EXPECT_TRUE(BitIdentical(run_engine(op, h, f), run_naive(op, h, f))) << name_of(op);
+  }
+
+  // The same on curves wide enough for the halving pass. At even i the
+  // split k = 0 gives −0 and k = 1 gives +0, and the oracle meets k = 0
+  // first — in the conv that is the *last* column (columns index f).
+  constexpr std::size_t kN = 64;
+  const auto curve = [](double even, double odd, double at0, double sq_sign) {
+    std::vector<double> v(kN), w(kN);
+    for (std::size_t i = 0; i < kN; ++i) {
+      v[i] = i % 2 == 0 ? even : odd;
+      w[i] = i == 0 ? at0 : sq_sign * static_cast<double>(i * i);
+    }
+    return std::pair{DiscreteCurve(std::move(v), 1.0), DiscreteCurve(std::move(w), 1.0)};
+  };
+  const std::pair<CurveOp, std::pair<DiscreteCurve, DiscreteCurve>> rows[] = {
+      {CurveOp::MinPlusConv, curve(z, -1.0, z, 1.0)},     // −0 + −0 | −1 + 1
+      {CurveOp::MaxPlusConv, curve(z, 1.0, z, -1.0)},     // −0 + −0 | 1 − 1
+      {CurveOp::MinPlusDeconv, curve(z, 1.0, 0.0, 1.0)},  // −0 − 0 | 1 − 1
+      {CurveOp::MaxPlusDeconv, curve(z, -1.0, 0.0, -1.0)}};  // −0 − 0 | −1 + 1
+  engine::reset_stats_for_testing();
+  for (const auto& [op, fg] : rows) {
+    const DiscreteCurve got = run_engine(op, fg.first, fg.second);
+    EXPECT_TRUE(got[kN / 2] == 0.0 && std::signbit(got[kN / 2])) << name_of(op);
+    EXPECT_TRUE(BitIdentical(got, run_naive(op, fg.first, fg.second))) << name_of(op);
+  }
+  EXPECT_EQ(engine::dispatch_stats().fast, 4);
+}
+
+// ---------------------------------------------------------------------------
+// The GPC step of `wlc_analyze bounds` on trace-derived curves: none of its
+// six operator calls takes the dense route.
+// ---------------------------------------------------------------------------
+
+/// A bursty synthetic trace's demand bounds converted to cycles on a
+/// `points`-point grid (Fig. 4), and β = F·(dt·i) at 1.25× the trace's
+/// long-run cycle rate: the inputs the gpc-bounds benchmark builds.
+std::pair<rtc::StreamBounds, DiscreteCurve> gpc_inputs(std::uint64_t seed, std::int64_t events,
+                                                       std::size_t points) {
+  Rng rng(seed);
+  trace::DemandTrace demands;
+  trace::TimestampTrace times;
+  double t = 0.0;
+  double total = 0.0;
+  for (std::int64_t i = 0; i < events; ++i) {
+    t += rng.bernoulli(0.3) ? rng.uniform(1e-5, 1e-4) : rng.uniform(1e-4, 1e-3);
+    times.push_back(t);
+    demands.push_back(rng.bernoulli(0.1) ? rng.uniform_int(3000, 5000) : rng.uniform_int(200, 900));
+    total += static_cast<double>(demands.back());
+  }
+  const auto ks = trace::make_kgrid({.max_k = events, .dense_limit = 512, .growth = 1.02});
+  const workload::WorkloadCurve gu = workload::extract_upper(demands, ks);
+  const workload::WorkloadCurve gl = workload::extract_lower(demands, ks);
+  const trace::EmpiricalArrivalCurve au = trace::extract_upper_arrival(times, ks);
+  const trace::EmpiricalArrivalCurve al = trace::extract_lower_arrival(times, ks);
+  const double clock = 1.25 * total / times.back();
+  const double dt = std::max(times.back(), au.last_breakpoint()) / static_cast<double>(points - 1);
+  std::vector<double> up(points), lo(points), beta(points);
+  for (std::size_t j = 0; j < points; ++j) {
+    const double x = dt * static_cast<double>(j);
+    up[j] = static_cast<double>(gu.value(au.eval(x)));
+    lo[j] = static_cast<double>(gl.value(al.eval(x)));
+    beta[j] = clock * x;
+  }
+  return {rtc::StreamBounds{DiscreteCurve(std::move(up), dt), DiscreteCurve(std::move(lo), dt)},
+          DiscreteCurve(std::move(beta), dt)};
+}
+
+TEST_F(CurveEngineTest, GpcOnTraceDerivedCurvesRunsNoDenseCallAndMatchesDense) {
+  const auto [demand, beta] = gpc_inputs(21, 20'000, 4096);
+  ASSERT_EQ(beta.shape(), DiscreteCurve::Shape::General);
+  const rtc::ResourceBounds resource{beta, beta};
+  const rtc::GpcResult fast = rtc::analyze_gpc(demand, resource);
+  EXPECT_EQ(engine::dispatch_stats().fast, 6);
+  EXPECT_EQ(engine::dispatch_stats().dense, 0);
+
+  engine::Config cfg;
+  cfg.fast_paths = false;
+  cfg.use_cache = false;
+  engine::set_config(cfg);
+  const rtc::GpcResult dense = rtc::analyze_gpc(demand, resource);
+  EXPECT_EQ(engine::dispatch_stats().dense, 6);
+  EXPECT_TRUE(BitIdentical(fast.output.upper, dense.output.upper));
+  EXPECT_TRUE(BitIdentical(fast.output.lower, dense.output.lower));
+  EXPECT_TRUE(BitIdentical(fast.remaining.upper, dense.remaining.upper));
+  EXPECT_TRUE(BitIdentical(fast.remaining.lower, dense.remaining.lower));
+  EXPECT_EQ(bits(fast.backlog), bits(dense.backlog));
+  EXPECT_EQ(bits(fast.delay), bits(dense.delay));
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "common/rng.h"
 #include "curve/discrete_curve.h"
 #include "curve/pwl_curve.h"
 
@@ -96,46 +95,6 @@ TEST(DiscreteCurve, MaxPlusDeconvIsSuffixInfimumWithZero) {
   EXPECT_DOUBLE_EQ(d[1], 1.0);
   EXPECT_DOUBLE_EQ(d[2], 2.0);
   EXPECT_DOUBLE_EQ(d[3], 2.0);
-}
-
-TEST(DiscreteCurve, ConvexSlopeMergeMatchesReference) {
-  // Two rate-latency-like convex curves.
-  const DiscreteCurve f =
-      DiscreteCurve::sample(PwlCurve::rate_latency(3.0, 2.0), 1.0, 12);
-  const DiscreteCurve g =
-      DiscreteCurve::sample(PwlCurve::rate_latency(5.0, 1.0), 1.0, 12);
-  const DiscreteCurve fast = DiscreteCurve::min_plus_conv_convex(f, g);
-  const DiscreteCurve ref = DiscreteCurve::min_plus_conv(f, g);
-  for (std::size_t i = 0; i < fast.size(); ++i) EXPECT_DOUBLE_EQ(fast[i], ref[i]) << i;
-}
-
-TEST(DiscreteCurve, ConcaveRuleMatchesReference) {
-  // Two concave curves through the origin: f ⊗ g = min(f, g).
-  const DiscreteCurve f = from({0.0, 10.0, 18.0, 24.0, 28.0, 30.0});
-  const DiscreteCurve g = from({0.0, 7.0, 13.0, 18.0, 22.0, 25.0});
-  const DiscreteCurve fast = DiscreteCurve::min_plus_conv_concave(f, g);
-  const DiscreteCurve ref = DiscreteCurve::min_plus_conv(f, g);
-  for (std::size_t i = 0; i < fast.size(); ++i) EXPECT_DOUBLE_EQ(fast[i], ref[i]) << i;
-}
-
-TEST(DiscreteCurve, RandomConvexCurvesSlopeMergeProperty) {
-  common::Rng rng(123);
-  for (int trial = 0; trial < 20; ++trial) {
-    auto make_convex = [&] {
-      std::vector<double> v{0.0};
-      double slope = rng.uniform(0.0, 1.0);
-      for (int i = 0; i < 30; ++i) {
-        slope += rng.uniform(0.0, 2.0);  // non-decreasing increments
-        v.push_back(v.back() + slope);
-      }
-      return from(std::move(v));
-    };
-    const DiscreteCurve f = make_convex();
-    const DiscreteCurve g = make_convex();
-    const DiscreteCurve fast = DiscreteCurve::min_plus_conv_convex(f, g);
-    const DiscreteCurve ref = DiscreteCurve::min_plus_conv(f, g);
-    for (std::size_t i = 0; i < fast.size(); ++i) ASSERT_NEAR(fast[i], ref[i], 1e-9);
-  }
 }
 
 TEST(DiscreteCurve, SupDiffAndBacklogClassicResult) {

@@ -33,8 +33,12 @@ host: a delta is only ever taken between consecutive rows from the same
 host. The end-to-end results of benchmark/run.sh (bench-out/results.json,
 or several per-run `wlc_e2e --out` files, pooled) are recorded as source
 "benchmark": per-workload medians of the four end-to-end metrics, with the
-host. History rendering is always report-only — gating stays with the
-pairwise mode CI already runs (and with benchmark/compare.py).
+host. When the result files hold traced runs too, the entry also keeps
+per-workload medians of those runs' per-layer metrics under "layers", and
+the trajectory renders them as a second table per host (a fall flags the
+metrics BENCHMARK.json declares better when higher). History rendering
+is always report-only — gating stays with the pairwise mode CI already runs
+(and with benchmark/compare.py).
 
 Usage: tools/compare_bench.py baseline.json candidate.json
            [--threshold 0.10] [--metric real_time|cpu_time] [--no-fail]
@@ -148,7 +152,8 @@ def current_commit() -> str:
 # per-run `wlc_e2e --out` files) are recorded under this source name. Their
 # entries carry per-workload medians of the end-to-end metrics under
 # "values" ("<workload> <metric>" -> median) with their units, instead of
-# google-benchmark's "times_ns".
+# google-benchmark's "times_ns". Traced runs add the medians of their
+# per-layer metrics under "layers", keyed and unit-tagged the same way.
 BENCHMARK_SOURCE = "benchmark"
 E2E_METRICS = ("setup_s", "op_ms_p50", "op_ms_tail", "peak_rss_mb")
 
@@ -180,10 +185,11 @@ def load_history(path: str, source: str) -> list[dict]:
     return entries
 
 
-def load_e2e_runs(paths: list[str]) -> list[dict]:
-    """Untraced run records of benchmark result files (traced runs time the
-    tracer too, so their end-to-end numbers are not comparable)."""
+def load_e2e_runs(paths: list[str]) -> tuple[list[dict], list[dict]]:
+    """Untraced and traced run records of benchmark result files. Traced
+    runs time the tracer too, so only their per-layer metrics count."""
     runs: list[dict] = []
+    traced: list[dict] = []
     for path in paths:
         try:
             with open(path, "r", encoding="utf-8") as f:
@@ -196,9 +202,10 @@ def load_e2e_runs(paths: list[str]) -> list[dict]:
             die(f"error: '{path}' has no 'runs' list of workload records "
                 "(not a benchmark/run.sh result file?)")
         runs += [r for r in records if not r.get("trace")]
+        traced += [r for r in records if r.get("trace")]
     if not runs:
         die("error: no untraced benchmark runs in " + ", ".join(paths))
-    return runs
+    return runs, traced
 
 
 def e2e_host_id(runs: list[dict]) -> str:
@@ -210,29 +217,52 @@ def e2e_host_id(runs: list[dict]) -> str:
             f"state_fs={h.get('state_fs', '?')}")
 
 
-def e2e_entry(runs: list[dict], commit: str) -> dict:
-    """Per-workload medians of the end-to-end metrics, with the host."""
+def workload_medians(runs: list[dict], field: str, names=None
+                     ) -> tuple[dict[str, float], dict[str, str]]:
+    """"<workload> <metric>" -> median over `runs` of run[field][metric],
+    with units. Every metric of `field` when `names` is None, except those
+    no run sampled (a layer the workload does not have)."""
     samples: dict[str, list[float]] = {}
     units: dict[str, str] = {}
     for r in runs:
-        for name in E2E_METRICS:
-            m = r.get("metrics", {}).get(name)
-            if isinstance(m, dict) and isinstance(m.get("value"), (int, float)):
-                key = f"{r['workload']} {name}"
-                samples.setdefault(key, []).append(float(m["value"]))
-                units[key] = str(m.get("unit", ""))
+        metrics = r.get(field, {})
+        for name in metrics if names is None else names:
+            m = metrics.get(name)
+            if not isinstance(m, dict) or not isinstance(m.get("value"), (int, float)):
+                continue
+            if names is None and not m.get("samples"):
+                continue
+            key = f"{r['workload']} {name}"
+            samples.setdefault(key, []).append(float(m["value"]))
+            units[key] = str(m.get("unit", ""))
+    return {k: statistics.median(v) for k, v in samples.items()}, units
+
+
+def run_counts(runs: list[dict]) -> dict[str, int]:
     counts: dict[str, int] = {}
     for r in runs:
         counts[r["workload"]] = counts.get(r["workload"], 0) + 1
-    return {
+    return counts
+
+
+def e2e_entry(runs: list[dict], commit: str, traced: list[dict] | None = None) -> dict:
+    """Per-workload medians of the end-to-end metrics, with the host; and
+    of the traced runs' per-layer metrics when there are any."""
+    values, units = workload_medians(runs, "metrics", E2E_METRICS)
+    entry = {
         "commit": commit,
-        "host": e2e_host_id(runs),
+        "host": e2e_host_id(runs + (traced or [])),
         "metric": "median",
         "source": BENCHMARK_SOURCE,
-        "runs": counts,
+        "runs": run_counts(runs),
         "units": units,
-        "values": {k: statistics.median(v) for k, v in samples.items()},
+        "values": values,
     }
+    layers, layer_units = workload_medians(traced or [], "layers")
+    if layers:
+        entry.update(layers=layers, layer_units=layer_units,
+                     traced_runs=run_counts(traced))
+    return entry
 
 
 def results_commit(paths: list[str]) -> str | None:
@@ -257,9 +287,26 @@ def is_e2e_results(path: str) -> bool:
     return isinstance(doc, dict) and isinstance(doc.get("runs"), list)
 
 
-def render_trajectory(entries: list[dict], key: str, fmt, threshold: float
-                      ) -> tuple[int, int]:
-    """Prints one host's table; returns (rows, consecutive regressions)."""
+def higher_is_better_metrics() -> set[str]:
+    """Metric names BENCHMARK.json (at the repository root) declares
+    better when higher, such as curve.dispatch.fast; every other metric is
+    better when lower."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                        "BENCHMARK.json")
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            bench = json.load(f)
+    except (OSError, json.JSONDecodeError):
+        return set()
+    return {m.get("name") for group in ("end_to_end", "per_layer")
+            for m in bench.get(group, []) if m.get("better") == "higher"}
+
+
+def render_trajectory(entries: list[dict], key: str, fmt, threshold: float,
+                      higher_better: set[str] = frozenset()) -> tuple[int, int]:
+    """Prints one host's table; returns (rows, consecutive regressions).
+    A row whose metric (the name after "<workload> ") is in
+    `higher_better` regresses when it falls."""
     names = sorted({n for e in entries for n in e[key]})
     commits = [str(e.get("commit", "?"))[:16] for e in entries]
     width = max((len(n) for n in names), default=4)
@@ -275,11 +322,12 @@ def render_trajectory(entries: list[dict], key: str, fmt, threshold: float
                 cell = fmt(e, name, v)
             else:
                 delta = (v - prev) / prev if prev > 0 else 0.0
+                worse = -delta if name.split(" ", 1)[-1] in higher_better else delta
                 mark = ""
-                if delta > threshold:
+                if worse > threshold:
                     mark = "!"
                     flagged += 1
-                elif delta < -threshold:
+                elif worse < -threshold:
                     mark = "+"
                 cell = f"{fmt(e, name, v)} {delta:+.0%}{mark}"
             cells.append(f"{cell:>16}")
@@ -327,7 +375,8 @@ def history_main(argv: list[str]) -> int:
     if args.record:
         if e2e:
             commit = args.commit or results_commit(args.bench) or current_commit()
-            entry = e2e_entry(load_e2e_runs(args.bench), commit)
+            runs, traced = load_e2e_runs(args.bench)
+            entry = e2e_entry(runs, commit, traced)
         else:
             bench_data = load(args.bench[0])
             entry = {
@@ -363,6 +412,9 @@ def history_main(argv: list[str]) -> int:
             return f"{v:.4g} {e.get('units', {}).get(name, '')}".rstrip()
         return fmt_ns(v)
 
+    def fmt_layer(e: dict, name: str, v: float) -> str:
+        return f"{v:.4g} {e.get('layer_units', {}).get(name, '')}".rstrip()
+
     runs = rows = flagged = 0
     for host, trajectory in by_host.items():
         trajectory = trajectory[-args.last:]
@@ -372,6 +424,14 @@ def history_main(argv: list[str]) -> int:
         runs += len(trajectory)
         rows = max(rows, n)
         flagged += f
+        traced = [e for e in trajectory if isinstance(e.get("layers"), dict)]
+        if e2e and traced:
+            print(f"host: {host} — per-layer medians of traced runs")
+            n, f = render_trajectory(traced, "layers", fmt_layer, args.threshold,
+                                     higher_is_better_metrics())
+            print()
+            rows = max(rows, n)
+            flagged += f
 
     what = "median" if e2e else args.metric
     print(f"{runs} run(s) on {len(by_host)} host(s), {rows} benchmark(s); "

@@ -249,6 +249,81 @@ class CompareBenchTest(unittest.TestCase):
         self.assertNotIn("bm_conv", r.stdout)
         self.assertIn("2 host(s)", r.stdout)
 
+    def traced_results(self, name, layer_values, host=None, untraced=5.0):
+        """A results.json with one untraced gpc-bounds run and one traced run
+        per value of rtc.gpc_ms; serve.frame_us_p50 is a layer the workload
+        does not have (no samples)."""
+        host = host or {"nproc": 4, "cpu_model": "Test CPU", "state_fs": "ext4"}
+
+        def run(trace, metrics, layers=None):
+            r = {"workload": "gpc-bounds", "trace": trace, "host": host,
+                 "metrics": metrics}
+            if layers is not None:
+                r["layers"] = layers
+            return r
+        runs = [run(0, {"op_ms_p50": {"value": untraced, "unit": "ms",
+                                      "samples": 9}})]
+        for v in layer_values:
+            runs.append(run(1, {"op_ms_p50": {"value": 1000.0, "unit": "ms",
+                                              "samples": 9}},
+                            {"rtc.gpc_ms": {"value": v, "unit": "ms",
+                                            "samples": 22},
+                             "curve.dispatch.dense": {"value": 4 if v > 10 else 0,
+                                                      "unit": "count",
+                                                      "samples": 22},
+                             "curve.dispatch.fast": {"value": 2 if v > 10 else 6,
+                                                     "unit": "count",
+                                                     "samples": 22},
+                             "serve.frame_us_p50": {"value": 0, "unit": "us",
+                                                    "samples": 0}}))
+        return self.write(name, {"schema_version": 1, "git_sha": "feedface",
+                                 "runs": runs})
+
+    def test_history_records_layer_medians_of_traced_runs(self):
+        res = self.traced_results("results.json", [60.0, 50.0, 70.0])
+        r = self.run_tool("history", res, "--record",
+                          "--history-file", self.path("hist.jsonl"))
+        self.assertEqual(r.returncode, 0, r.stderr)
+        (entry,) = self.history_entries()
+        # End-to-end medians still come from the untraced run alone.
+        self.assertEqual(entry["values"], {"gpc-bounds op_ms_p50": 5.0})
+        self.assertEqual(entry["layers"], {"gpc-bounds rtc.gpc_ms": 60.0,
+                                           "gpc-bounds curve.dispatch.dense": 4.0,
+                                           "gpc-bounds curve.dispatch.fast": 2.0})
+        self.assertEqual(entry["layer_units"]["gpc-bounds rtc.gpc_ms"], "ms")
+        self.assertEqual(entry["traced_runs"], {"gpc-bounds": 3})
+
+    def test_history_without_traced_runs_records_no_layers(self):
+        res = self.e2e_results("results.json", [5.0, 3.0])
+        r = self.run_tool("history", res, "--record",
+                          "--history-file", self.path("hist.jsonl"))
+        self.assertEqual(r.returncode, 0, r.stderr)
+        (entry,) = self.history_entries()
+        self.assertNotIn("layers", entry)
+        self.assertNotIn("per-layer", r.stdout)
+
+    def test_history_renders_layer_trajectory_on_same_host_rows_only(self):
+        other = {"nproc": 1, "cpu_model": "Test CPU", "state_fs": "ext4"}
+        for name, layers, host in (("p.json", [60.0], None),
+                                   ("x.json", [6.0], other),
+                                   ("c.json", [2.4], None)):
+            path = self.traced_results(name, layers, host=host)
+            r = self.run_tool("history", path, "--record", "--commit", name,
+                              "--history-file", self.path("hist.jsonl"))
+            self.assertEqual(r.returncode, 0, r.stderr)
+        r = self.run_tool("history", self.path("c.json"),
+                          "--history-file", self.path("hist.jsonl"))
+        self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertEqual(r.stdout.count("per-layer medians of traced runs"), 2)
+        self.assertIn("gpc-bounds rtc.gpc_ms", r.stdout)
+        self.assertIn("2.4 ms -96%+", r.stdout)  # p.json -> c.json, same host
+        self.assertNotIn("-90%", r.stdout)       # p.json -> x.json crosses hosts
+        self.assertNotIn("-60%", r.stdout)       # x.json -> c.json too
+        self.assertIn("0 count -100%+", r.stdout)
+        # BENCHMARK.json says more fast dispatches is better.
+        self.assertIn("6 count +200%+", r.stdout)
+        self.assertNotIn("REGRESSION", r.stderr)
+
     def test_history_rejects_a_results_file_without_runs(self):
         bad = self.write("results.json", {"runs": [{"no": "workload"}]})
         r = self.run_tool("history", bad, "--record",
