@@ -7,9 +7,8 @@
 // service-curve calls (every rung is bit-identical; only the route differs —
 // see docs/architecture.md, "Curve algebra & dispatch"). tools/run_benchmarks.sh
 // records these as BENCH_curve_ops.json. The PWL-compaction benches time the
-// bounded-error knot tier (10⁶-point fit/expand, knot kernels vs the dense
-// fast path on identical operands); the PWL and sup-diff benches cover the
-// remaining hot evaluation paths.
+// bounded-error storage form (10⁶-point fit and expand); the PWL and sup-diff
+// benches cover the remaining hot evaluation paths.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -59,9 +58,8 @@ DiscreteCurve random_concave(std::size_t n, std::uint64_t seed) {
 void set_engine(bool fast_paths, bool use_cache) {
   engine::Config cfg;
   cfg.fast_paths = fast_paths;
-  cfg.use_cache = use_cache;
   engine::set_config(cfg);
-  OpCache::global().set_capacity_bytes(OpCache::kDefaultCapacityBytes);
+  OpCache::global().set_capacity_bytes(use_cache ? OpCache::kDefaultCapacityBytes : 0);
   OpCache::global().clear();
 }
 
@@ -259,7 +257,7 @@ void BM_SupDiffBacklog(benchmark::State& state) {
 }
 BENCHMARK(BM_SupDiffBacklog)->Range(1024, 65536);
 
-// ---- PWL compaction tier ---------------------------------------------------
+// ---- PWL compaction (storage form) -----------------------------------------
 
 // Ramp + periodic tooth: the canonical "huge but regular" γ envelope. Under
 // a two-tooth absolute budget the greedy fit rides the ramp for many periods
@@ -274,10 +272,8 @@ DiscreteCurve sawtooth(std::size_t n, double ramp, double amp, std::size_t perio
   return DiscreteCurve(std::move(v), 1.0);
 }
 
-// Convex staircase-of-slopes: slope changes only every n/segs samples, so an
-// exact (eps = 0) compaction keeps ~segs knots out of n points. This is the
-// operand class where the knot kernels earn their keep: the dense fast path
-// is O(n) in samples, compact_conv_merge is O(k) in knots.
+// Convex staircase-of-slopes: slope changes only every n/segs samples — the
+// slope-merge fast path on long convex operands.
 DiscreteCurve blocky_convex(std::size_t n, std::size_t segs, std::uint64_t seed) {
   common::Rng rng(seed);
   std::vector<double> v{0.0};
@@ -285,9 +281,8 @@ DiscreteCurve blocky_convex(std::size_t n, std::size_t segs, std::uint64_t seed)
   const std::size_t per = n / segs;
   for (std::size_t i = 1; i < n; ++i) {
     // Dyadic slope steps keep every sample exactly representable, so the
-    // stored increments are *exactly* piecewise-constant — the shape
-    // classifier (tol = 0) sees Convex and the eps = 0 compaction keeps one
-    // knot per block instead of fragmenting on ulp drift.
+    // stored increments are *exactly* piecewise-constant and the shape
+    // classifier (tol = 0) sees Convex.
     if (i % per == 1) slope += 0.25 * static_cast<double>(rng.uniform_int(1, 4));
     v.push_back(v.back() + slope);
   }
@@ -324,23 +319,6 @@ void BM_BlockyConvexMinPlusConv_DenseFastPath(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(DiscreteCurve::min_plus_conv(f, g));
 }
 BENCHMARK(BM_BlockyConvexMinPlusConv_DenseFastPath)->Arg(4096)->Arg(16384)->Arg(65536);
-
-void BM_BlockyConvexMinPlusConv_CompactKnots(benchmark::State& state) {
-  // Same operands as the dense twin above, exactly (eps = 0) compacted; the
-  // knot-merge kernel runs on ~64 knots regardless of n.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const curve::CompactBudget exact{};
-  const curve::CompactCurve cf =
-      curve::CompactCurve::compact_upper(blocky_convex(n, 64, 9), exact);
-  const curve::CompactCurve cg =
-      curve::CompactCurve::compact_upper(blocky_convex(n, 64, 10), exact);
-  set_engine(/*fast_paths=*/true, /*use_cache=*/false);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        engine::apply_compact(curve::CurveOp::MinPlusConv, cf, cg));
-  state.counters["knots_f"] = static_cast<double>(cf.size());
-}
-BENCHMARK(BM_BlockyConvexMinPlusConv_CompactKnots)->Arg(4096)->Arg(16384)->Arg(65536);
 
 void BM_PwlEvalPeriodic(benchmark::State& state) {
   const PwlCurve stairs = PwlCurve::staircase(1.0, 2.0, 3.0, 3.0);

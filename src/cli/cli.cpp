@@ -19,6 +19,7 @@
 #include "common/faultfs.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
+#include "curve/compact.h"
 #include "curve/engine.h"
 #include "curve/op_cache.h"
 #include "obs/export.h"
@@ -227,7 +228,6 @@ RuntimeControls runtime_controls(const Options& o) {
 void apply_curve_engine_flags(const Options& o, const RuntimeControls& rc) {
   curve::engine::Config cfg;
   cfg.fast_paths = o.flags.count("no-fast-paths") == 0;
-  cfg.use_cache = true;
   curve::engine::set_config(cfg);
   std::size_t capacity = curve::OpCache::kDefaultCapacityBytes;
   if (const auto v = o.integer("curve-cache")) {
@@ -399,33 +399,28 @@ int cmd_curves(const Options& o, const LoadedTrace& t, std::ostream& out) {
   return 0;
 }
 
-/// Shared by `compact` and `serve`: the PWL error budget from
-/// --compact-eps (absolute cycles) and --compact-rel (relative). Returns
-/// nullopt when neither flag is present.
-std::optional<curve::CompactBudget> compact_budget_flags(const Options& o) {
+/// The PWL error budget of `compact`: --compact-eps (absolute cycles) and
+/// --compact-rel (relative). Default: exact (eps = 0) — the compact form
+/// re-encodes the curve bit-for-bit and the table shows the lossless
+/// reduction.
+curve::CompactBudget compact_budget_flags(const Options& o) {
   curve::CompactBudget budget;
-  bool any = false;
   if (const auto v = o.number("compact-eps")) {
     if (*v < 0) throw UsageError("--compact-eps must be >= 0, got " + o.flags.at("compact-eps"));
     budget.eps_abs = *v;
-    any = true;
   }
   if (const auto v = o.number("compact-rel")) {
     if (*v < 0) throw UsageError("--compact-rel must be >= 0, got " + o.flags.at("compact-rel"));
     budget.eps_rel = *v;
-    any = true;
   }
-  if (!any) return std::nullopt;
   return budget;
 }
 
 int cmd_compact(const Options& o, const LoadedTrace& t, std::ostream& out) {
-  // Default budget: exact (eps = 0) — the compact form re-encodes the curve
-  // bit-for-bit and the table shows the lossless reduction.
-  const curve::CompactBudget budget =
-      compact_budget_flags(o).value_or(curve::CompactBudget{});
+  const curve::CompactBudget budget = compact_budget_flags(o);
   // Compaction grid: one sample per breakpoint index (dt = 1), values in
-  // cycles — the same grid serve snapshots persist their tier on.
+  // cycles (exact in double up to 2^53) — the grid of the snapshot v2 tier
+  // block.
   const auto index_curve = [](const std::vector<workload::WorkloadCurve::Point>& pts) {
     std::vector<double> v;
     v.reserve(pts.size());
@@ -752,13 +747,6 @@ int cmd_serve(const Options& o, RuntimeControls& rc, std::ostream& out, std::ost
   if (const auto v = o.integer("snapshot-every")) {
     if (*v < 0) throw UsageError("--snapshot-every must be >= 0, got " + std::to_string(*v));
     sc.snapshot_every = *v;
-  }
-  // PWL tiering: either flag (even 0 — an exact tier) turns the snapshot
-  // tier on; sessions then persist compact gamma curves alongside the
-  // extractor state.
-  if (const auto budget = compact_budget_flags(o)) {
-    sc.compact_tier = true;
-    sc.compact = *budget;
   }
   if (const auto it = o.flags.find("snapshot-interval"); it != o.flags.end())
     cfg.snapshot_interval = std::chrono::milliseconds(
@@ -1244,7 +1232,6 @@ std::string usage() {
          "               [--snapshot-every N] [--snapshot-interval D] [--timeout D]\n"
          "               [--request-log FILE] [--slow-ms N] [--request-log-max-bytes N]\n"
          "               [--watchdog-ms N] [--watchdog-abort] [--drain-to ADDR]\n"
-         "               [--compact-eps E] [--compact-rel R]\n"
          "               run the analysis daemon: concurrent streaming sessions\n"
          "               over TCP or a Unix socket, admission control on the\n"
          "               session/grid/byte pool (reject = explicit backpressure,\n"
@@ -1267,11 +1254,6 @@ std::string usage() {
          "               exact) and parked Opens get a Redirect instead of a\n"
          "               queue-timeout rejection; a failed hand-off falls\n"
          "               back to the disk snapshot.\n"
-         "               --compact-eps/--compact-rel turn on the snapshot PWL\n"
-         "               tier: every persisted session also carries compact\n"
-         "               gamma curves within that error budget (upper rounded\n"
-         "               up, lower down); recovery re-verifies dominance and\n"
-         "               recomputes a tier that fails the check\n"
          "  stats        --connect <unix:/path | host:port> [--format table|json|prom]\n"
          "               ask a live daemon for its stats document: uptime,\n"
          "               pool occupancy, per-session and per-tenant state and\n"

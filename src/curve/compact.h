@@ -1,10 +1,10 @@
-// Bounded-error piecewise-linear compaction of dense discrete curves.
+// Bounded-error piecewise-linear compaction of dense discrete curves: a
+// storage form, not an operand.
 //
-// Long traces produce DiscreteCurves with millions of samples; every
-// downstream operator — the §3.1/§3.2 algebra, the OpCache, serve
-// snapshots — pays per point. CompactCurve re-represents such a curve as a
-// short knot list (grid-anchored PWL segments) fitted greedily within a
-// user-set absolute + relative error budget, with *one-sided* rounding:
+// Long traces produce DiscreteCurves with millions of samples.
+// CompactCurve re-represents such a curve as a short knot list
+// (grid-anchored PWL segments) fitted greedily within a user-set absolute
+// + relative error budget, with *one-sided* rounding:
 //
 //   · CompactRounding::Up   (γᵘ-family):  compact(x) ≥ original(x)
 //   · CompactRounding::Down (γˡ-family):  compact(x) ≤ original(x)
@@ -22,11 +22,12 @@
 // this.
 //
 // Knots sit on the dense grid (stored as sample indices, never as raw x),
-// which is what makes the knot-level algebra in the engine sound: a PWL
-// function with grid-aligned knots is linear between grid points, so the
-// grid-restricted (min,+)/(max,+) optima coincide with the continuous PWL
-// optima and knot-level kernels agree with the dense semantics (see
-// engine.h "Compact dispatch" and docs/architecture.md "PWL tiering").
+// so expand() lands on exactly the original grid and the PWL function is
+// linear between grid points. The curve algebra runs on DiscreteCurve
+// only; a caller that wants to operate on a compact curve expands it
+// first. Readers today: the `wlc_analyze compact` subcommand and the serve
+// snapshot v2 decoder, which validates a persisted tier block in this form
+// (docs/architecture.md, "PWL tiering").
 //
 // Segments are (index, y, slope) triples; segment k owns [x_k, x_{k+1})
 // (the last owns through the horizon). Evaluation at a knot position
@@ -115,18 +116,9 @@ class CompactCurve {
     return static_cast<double>(n_) / static_cast<double>(knots_.size());
   }
 
-  /// Shape of the PWL function the knots define, classified on the stored
-  /// slopes with exact comparisons (the same discipline as
-  /// DiscreteCurve::shape). A curve whose repair introduced a knot
-  /// discontinuity reports General — the knot-level kernels require the
-  /// continuous convex/concave arguments. Computed once at construction
-  /// (O(k)), so reads are trivially thread-safe.
-  DiscreteCurve::Shape knot_shape() const { return shape_; }
-  /// True when every knot joins the previous segment's end value exactly.
-  bool continuous() const { return continuous_; }
   /// True when the PWL never decreases: all slopes ≥ 0 and every knot jump
-  /// (repair discontinuity) points upward. Valid with or without
-  /// continuity — the deconv-constant kernel keys off this.
+  /// (repair discontinuity) points upward. Computed once at construction
+  /// (O(k)), so reads are trivially thread-safe.
   bool non_decreasing() const { return non_decreasing_; }
 
   bool operator==(const CompactCurve& o) const {
@@ -153,8 +145,6 @@ class CompactCurve {
   CompactRounding rounding_;
   CompactBudget budget_;
   double max_error_;
-  DiscreteCurve::Shape shape_;
-  bool continuous_;
   bool non_decreasing_;
 };
 

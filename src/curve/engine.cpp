@@ -19,7 +19,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 using Shape = DiscreteCurve::Shape;
 
 std::atomic<bool> g_fast_paths{true};
-std::atomic<bool> g_use_cache{true};
 std::atomic<std::int64_t> g_fast_count{0};
 std::atomic<std::int64_t> g_dense_count{0};
 
@@ -493,28 +492,23 @@ DiscreteCurve run_dense(CurveOp op, const DiscreteCurve& f, const DiscreteCurve&
 }  // namespace
 
 Config config() {
-  return Config{g_fast_paths.load(std::memory_order_relaxed),
-                g_use_cache.load(std::memory_order_relaxed)};
+  return Config{g_fast_paths.load(std::memory_order_relaxed)};
 }
 
 void set_config(const Config& cfg) {
   g_fast_paths.store(cfg.fast_paths, std::memory_order_relaxed);
-  g_use_cache.store(cfg.use_cache, std::memory_order_relaxed);
 }
 
 DispatchStats dispatch_stats() {
-  DispatchStats s{g_fast_count.load(std::memory_order_relaxed),
-                  g_dense_count.load(std::memory_order_relaxed),
-                  g_capped_count.load(std::memory_order_relaxed), 0, 0};
-  detail::compact_counts(s.compact_knot, s.compact_expand);
-  return s;
+  return DispatchStats{g_fast_count.load(std::memory_order_relaxed),
+                       g_dense_count.load(std::memory_order_relaxed),
+                       g_capped_count.load(std::memory_order_relaxed)};
 }
 
 void reset_stats_for_testing() {
   g_fast_count.store(0, std::memory_order_relaxed);
   g_dense_count.store(0, std::memory_order_relaxed);
   g_capped_count.store(0, std::memory_order_relaxed);
-  detail::reset_compact_counts();
 }
 
 // ---- dense fallback kernels -------------------------------------------------
@@ -593,7 +587,7 @@ DiscreteCurve apply(CurveOp op, const DiscreteCurve& f, const DiscreteCurve& g) 
   require_compatible(f, g);
   const Config cfg = config();
   OpCache& cache = OpCache::global();
-  const bool use_cache = cfg.use_cache && cache.enabled();
+  const bool use_cache = cache.enabled();
   if (use_cache) {
     if (auto hit = cache.lookup(op, f, g)) {
       WLC_COUNTER_ADD("curve.cache.hits", 1);

@@ -2,7 +2,9 @@
 //
 // Every call to DiscreteCurve::{min,max}_plus_{conv,deconv} routes through
 // engine::apply, which picks the cheapest kernel that is *bit-identical* to
-// the naive O(n²) oracle (`DiscreteCurve::*_naive`):
+// the naive O(n²) oracle (`DiscreteCurve::*_naive`). It is the only
+// dispatch ladder: curve::CompactCurve is a storage form with no operators
+// of its own, so a compact operand is expand()ed onto its grid first.
 //
 //   1. OpCache::global() lookup — memoized results of earlier identical
 //      calls (content-fingerprint keyed; see op_cache.h).
@@ -35,32 +37,20 @@
 // ±0 go to the split the oracle visits first. The differential suite
 // (tests/curve_engine_test.cpp, CTest label `curve`) enforces byte equality
 // across shapes × sizes × operators, and on non-dyadic service curves.
-// Compact dispatch (PWL tier): apply_compact mirrors apply for CompactCurve
-// operands — cache → knot-level kernel when the operand PWL shapes admit
-// one → expand-to-dense fallback (dense apply, then an *exact* eps=0
-// recompaction). Knot kernels are sound because knots sit on the dense
-// grid: the (min,+)/(max,+) split objective over two grid-aligned PWL
-// operands is itself PWL in the split with grid-aligned breakpoints, so the
-// continuous optimum is attained at a grid split and the knot-level answer
-// agrees with the dense-grid semantics up to floating-point rounding. The
-// result carries the composed budget (ε_f + ε_g) and the a-priori composed
-// error bound max_error_f + max_error_g — the differential suite
-// (tests/pwl_compact_ops_test.cpp, CTest label `pwl`) checks both.
 #pragma once
 
 #include <cstdint>
 
-#include "curve/compact.h"
 #include "curve/discrete_curve.h"
 #include "curve/op_cache.h"
 
 namespace wlc::curve::engine {
 
-/// Process-wide engine switches (atomically read per call; wired to
-/// `wlc_analyze --no-fast-paths` / `--curve-cache`).
+/// Process-wide engine switch (atomically read per call; wired to
+/// `wlc_analyze --no-fast-paths`). The memo cache has no switch of its own:
+/// capacity 0 on OpCache::global() (`--curve-cache 0`) turns it off.
 struct Config {
   bool fast_paths = true;  ///< shape-aware O(n)/O(n log n) kernels
-  bool use_cache = true;   ///< consult/populate OpCache::global()
 };
 
 Config config();
@@ -74,8 +64,6 @@ struct DispatchStats {
   std::int64_t fast = 0;
   std::int64_t dense = 0;
   std::int64_t capped = 0;  ///< near-convex kernel gave up at its work cap (also in dense)
-  std::int64_t compact_knot = 0;    ///< apply_compact served by a knot kernel
-  std::int64_t compact_expand = 0;  ///< apply_compact fell back to expansion
 };
 
 DispatchStats dispatch_stats();
@@ -88,34 +76,6 @@ inline constexpr double kNearConvexDefectGate = 1024.0;
 
 /// Full dispatch: cache → fast path → dense. Bit-identical to the oracle.
 DiscreteCurve apply(CurveOp op, const DiscreteCurve& f, const DiscreteCurve& g);
-
-/// Compact dispatch: cache → knot kernel (O(k), dispatching on knot count)
-/// → expand-to-dense fallback. Result stays within ε_f + ε_g of the op on
-/// the *original* dense curves and preserves the dominance direction of
-/// `f.rounding()`. Mirrored to curve.compact.dispatch.{knot,expand}.
-CompactCurve apply_compact(CurveOp op, const CompactCurve& f, const CompactCurve& g);
-
-// Knot-level kernels, exposed for the pwl differential tests/benchmarks.
-// Preconditions (checked by apply_compact's dispatcher, NOT re-checked
-// here): operands share dt; conv_merge needs continuous convex² (min,+) or
-// concave² (max,+); conv_endpoint needs continuous concave² (min,+) or
-// convex² (max,+); deconv_constant needs a constant g with
-// g.dense_size() ≥ f.dense_size() and a non-decreasing f.
-CompactCurve compact_conv_merge(CurveOp op, const CompactCurve& f, const CompactCurve& g);
-CompactCurve compact_conv_endpoint(CurveOp op, const CompactCurve& f,
-                                   const CompactCurve& g);
-CompactCurve compact_deconv_constant(CurveOp op, const CompactCurve& f,
-                                     const CompactCurve& g);
-/// expand → dense apply → exact (eps=0) recompaction, re-tagged with the
-/// composed budget/error. The always-correct slow path.
-CompactCurve compact_fallback(CurveOp op, const CompactCurve& f, const CompactCurve& g);
-
-namespace detail {
-// Internal bridge: the compact-tier dispatch counters live in
-// compact_ops.cpp; engine.cpp folds them into dispatch_stats().
-void compact_counts(std::int64_t& knot, std::int64_t& expand);
-void reset_compact_counts();
-}  // namespace detail
 
 // Individual kernels, exposed for the differential tests and benchmarks.
 // The dense forms visit split points in the oracle's order (ascending k per

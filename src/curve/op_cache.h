@@ -3,10 +3,11 @@
 // The sizing sweeps in rtc::sizing / rtc::mpa and the GPC chains re-convolve
 // the same α/β/γ operands for every candidate frequency or chain stage; the
 // dense kernels are O(n²), so recomputation dominates. OpCache memoizes the
-// four binary operators keyed by (op tag, operand fingerprints), where a
-// fingerprint is a 128-bit byte-hash of the sample vector plus dt and size —
-// curves are value types with no identity, so content hashing is the only
-// sound key. A hit returns a copy of the stored result, which is
+// four binary operators on DiscreteCurve, its one payload type (a compact
+// curve is expanded before any operator runs), keyed by (op tag, operand
+// fingerprints), where a fingerprint is a 128-bit byte-hash of the sample
+// vector plus dt and size — curves are value types with no identity, so
+// content hashing is the only sound key. A hit returns a copy of the stored result, which is
 // bit-identical to recomputation (the engine only inserts kernel outputs),
 // so caching is invisible to analysis results by construction.
 //
@@ -30,7 +31,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "curve/compact.h"
 #include "curve/discrete_curve.h"
 
 namespace wlc::curve {
@@ -73,14 +73,6 @@ class OpCache {
   std::size_t insert(CurveOp op, const DiscreteCurve& f, const DiscreteCurve& g,
                      const DiscreteCurve& result);
 
-  /// Compact-tier variants: same LRU list, byte accounting, and stats
-  /// counters, keyed by knot-byte fingerprints (domain-separated seeds, so
-  /// a compact key can never alias the dense key of the expanded curve).
-  std::optional<CompactCurve> lookup_compact(CurveOp op, const CompactCurve& f,
-                                             const CompactCurve& g);
-  std::size_t insert_compact(CurveOp op, const CompactCurve& f, const CompactCurve& g,
-                             const CompactCurve& result);
-
   Stats stats() const;
   /// Drops all entries and zeroes the counters (capacity unchanged).
   void clear();
@@ -99,14 +91,12 @@ class OpCache {
   };
   struct Entry {
     Key key;
-    std::vector<double> values;  // dense payload (empty for compact entries)
+    std::vector<double> values;
     double dt;
     std::size_t bytes;
-    std::optional<CompactCurve> compact;  // compact payload, when set
   };
 
   static Key make_key(CurveOp op, const DiscreteCurve& f, const DiscreteCurve& g);
-  static Key make_compact_key(CurveOp op, const CompactCurve& f, const CompactCurve& g);
   std::size_t evict_to_fit_locked(std::size_t needed);
 
   mutable std::mutex mu_;

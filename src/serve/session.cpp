@@ -49,40 +49,6 @@ Reply reject(RejectCode code, std::string reason, std::int64_t retry_after_ms) {
   return RejectReply{code, std::move(reason), retry_after_ms};
 }
 
-/// Session curves on the compaction grid: one sample per workload-curve
-/// breakpoint (dt = 1, values in cycles — exact in double up to 2^53).
-curve::DiscreteCurve index_curve(const std::vector<workload::WorkloadCurve::Point>& pts) {
-  std::vector<double> v;
-  v.reserve(pts.size());
-  for (const auto& p : pts) v.push_back(static_cast<double>(p.second));
-  return curve::DiscreteCurve(std::move(v), 1.0);
-}
-
-/// Semantic tier validation: the persisted compact curves must dominate
-/// (γᵘ from above, γˡ from below) the curves rebuilt from the extractor
-/// state at every breakpoint, within their recorded budget. Exact
-/// comparisons — the tier writer recomputes deterministically, so a sound
-/// tier passes bit-for-bit.
-bool tier_sound(const PwlTier& tier, const workload::OnlineWorkloadExtractor& ex) {
-  if (!ex.ready()) return false;
-  const auto upts = ex.upper().points();
-  const auto lpts = ex.lower().points();
-  if (tier.upper.dense_size() != upts.size() || tier.lower.dense_size() != lpts.size())
-    return false;
-  if (tier.upper.dt() != 1.0 || tier.lower.dt() != 1.0) return false;
-  for (std::size_t j = 0; j < upts.size(); ++j) {
-    const double v = static_cast<double>(upts[j].second);
-    const double c = tier.upper.eval_index(j);
-    if (c < v || c - v > tier.upper.budget().at(v)) return false;
-  }
-  for (std::size_t j = 0; j < lpts.size(); ++j) {
-    const double v = static_cast<double>(lpts[j].second);
-    const double c = tier.lower.eval_index(j);
-    if (c > v || v - c > tier.lower.budget().at(v)) return false;
-  }
-  return true;
-}
-
 /// True for `<id>.wlcs.tmp.<pid>` — atomic_write_file's temp name — when
 /// <pid> is not this process: a write that a dead process never finished.
 bool orphaned_temp_file(const std::string& name) {
@@ -593,7 +559,6 @@ Reply SessionManager::migrate_in(const MigrateRequest& req) {
   session->tenant = snap.tenant;
   session->ks_used = snap.extractor.ks;
   session->bytes_cost = session_bytes_estimate(session->ks_used);
-  adopt_tier(*session, std::move(snap.tier));
   // Like recovery: the session was already admitted (by the origin daemon),
   // so it re-leases unconditionally rather than being re-subjected to this
   // pool's admission — dropping an accepted session's guarantees mid-flight
@@ -627,7 +592,6 @@ bool SessionManager::export_session_snapshot(const std::string& id, std::string*
   snap.session_id = s->id;
   snap.tenant = s->tenant;
   snap.extractor = s->extractor.export_state();
-  snap.tier = s->tier.has_value() ? s->tier : make_tier(*s);
   *bytes = encode_snapshot(snap);
   return true;
 }
@@ -682,35 +646,6 @@ void SessionManager::cancel_queued(std::uint64_t cookie) {
   }
 }
 
-std::optional<PwlTier> SessionManager::make_tier(const Session& s) const {
-  if (!cfg_.compact_tier || !s.extractor.ready()) return std::nullopt;
-  const curve::DiscreteCurve upper = index_curve(s.extractor.upper().points());
-  const curve::DiscreteCurve lower = index_curve(s.extractor.lower().points());
-  return PwlTier{curve::CompactCurve::compact_upper(upper, cfg_.compact),
-                 curve::CompactCurve::compact_lower(lower, cfg_.compact)};
-}
-
-void SessionManager::adopt_tier(Session& s, std::optional<PwlTier> tier) {
-  if (!cfg_.compact_tier) {
-    // Tiering is off in this daemon: a persisted tier is neither validated
-    // nor carried forward (the next snapshot would drop it anyway).
-    s.tier.reset();
-    return;
-  }
-  if (tier.has_value()) {
-    if (tier_sound(*tier, s.extractor)) {
-      WLC_COUNTER_ADD("serve.compact.tier_reused", 1);
-      s.tier = std::move(tier);
-      return;
-    }
-    WLC_COUNTER_ADD("serve.compact.tier_rejected", 1);
-    log_line("session '" + s.id +
-             "': persisted pwl tier failed the dominance re-check, recomputing");
-  }
-  s.tier = make_tier(s);
-  if (tier.has_value() && s.tier.has_value()) WLC_COUNTER_ADD("serve.compact.recomputes", 1);
-}
-
 SessionManager::Session& SessionManager::install(std::unique_ptr<Session> session) {
   session->incarnation = next_incarnation_++;
   session->grid_cost = static_cast<std::int64_t>(session->ks_used.size());
@@ -739,15 +674,9 @@ SessionManager::SnapshotJob SessionManager::export_job(Session& s,
   WLC_TRACE_SPAN("serve.snapshot.hold");
   SnapshotJob job;
   job.started_us = obs::now_us();
-  // Recompute the tier from the live curves at every persist — the compact
-  // fit is deterministic, so two snapshots of the same stream position
-  // carry byte-identical tiers (what the kill -9 soak asserts).
-  s.tier = make_tier(s);
   slot->session_id = s.id;
   slot->tenant = s.tenant;
   s.extractor.export_state_into(slot->extractor);
-  slot->tier = s.tier;
-  if (slot->tier.has_value()) WLC_COUNTER_ADD("serve.compact.tier_written", 1);
   job.id = s.id;
   job.path = snapshot_path(s.id);
   job.incarnation = s.incarnation;
@@ -893,7 +822,6 @@ std::size_t SessionManager::recover() {
       session->ks_used = snap.extractor.ks;
       session->bytes_cost = session_bytes_estimate(session->ks_used);
       tenant_count(session->tenant, "recovered", 1);
-      adopt_tier(*session, std::move(snap.tier));
       // Recovered sessions were admitted before the crash; they re-lease
       // unconditionally (the pool may transiently overcommit until some
       // close — preferable to dropping accepted sessions' guarantees).

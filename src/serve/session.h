@@ -38,11 +38,10 @@
 // asynchronous snapshot, that encodes, checksums, writes and fsyncs.
 //
 //   Asynchronous — the cadence snapshot in push() and the timer's
-//   schedule_snapshots(). The reactor runs make_tier (when tiering is on)
-//   and exports the extractor state into a recycled slot, then hands the
-//   slot to the writer and replies; no Push waits on the disk. A PushReply
-//   never promised durability: a resuming client continues from the last
-//   snapshot that reached the disk.
+//   schedule_snapshots(). The reactor exports the extractor state into a
+//   recycled slot, then hands the slot to the writer and replies; no Push
+//   waits on the disk. A PushReply never promised durability: a resuming
+//   client continues from the last snapshot that reached the disk.
 //   Synchronous — snapshot-on-admit, Close, Migrate-in, drop_migrated and
 //   snapshot_all(). Each first cancels the session's pending job and waits
 //   for its write in flight, then writes (or removes) the file itself and
@@ -73,7 +72,6 @@
 #include <string>
 #include <vector>
 
-#include "curve/compact.h"
 #include "obs/metrics.h"
 #include "serve/protocol.h"
 #include "serve/snapshot.h"
@@ -99,12 +97,6 @@ struct SessionConfig {
   EventCount snapshot_every = 4096;
   /// Directory for *.wlcs session snapshots; empty = no persistence.
   std::string state_dir;
-  /// PWL tiering: when compact_tier is set, every snapshot of a ready
-  /// session also persists bounded-error compact γᵘ/γˡ curves fitted within
-  /// `compact` (γᵘ rounded up, γˡ down — the tier can only be conservative).
-  /// A zero budget is valid: the tier is then an exact PWL re-encoding.
-  bool compact_tier = false;
-  curve::CompactBudget compact;
   /// Diagnostics sink for snapshot/recovery I/O problems; may be null.
   std::ostream* log = nullptr;
 };
@@ -229,11 +221,6 @@ class SessionManager {
     /// crash-durability is lost — and retried at snapshot_all/Close, which
     /// clears the flag when the disk has space again.
     bool memory_only = false;
-    /// Compact PWL curves as of the last snapshot (or adopted from a
-    /// recovered/migrated one after passing the dominance re-check).
-    /// Recomputed deterministically at every snapshot, so a kill -9 between
-    /// compaction and persist resumes bit-identically.
-    std::optional<PwlTier> tier;
 
     explicit Session(workload::OnlineWorkloadExtractor ex) : extractor(std::move(ex)) {}
   };
@@ -270,15 +257,6 @@ class SessionManager {
   void apply_result(const SnapshotResult& r);
   /// Releases a closed or migrated session's leases and forgets it.
   void forget(const std::string& id);
-  /// Fresh compact tier from the session's current curves; nullopt when
-  /// tiering is off or the smallest window has not closed yet.
-  std::optional<PwlTier> make_tier(const Session& s) const;
-  /// Installs a persisted tier after re-verifying dominance (and the error
-  /// budget) against the curves rebuilt from the extractor state. An
-  /// unsound-but-well-formed tier is dropped and, when tiering is on,
-  /// recomputed — never a reason to refuse the session. Counters:
-  /// serve.compact.tier_{reused,rejected}, serve.compact.recomputes.
-  void adopt_tier(Session& s, std::optional<PwlTier> tier);
   void tenant_count(const std::string& tenant, const char* what, std::int64_t delta);
   void log_line(const std::string& line);
 

@@ -20,10 +20,9 @@
 // versioned, length-prefixed and CRC'd, so tier corruption is detected
 // independently of the outer checksum and a version-skewed tier is refused
 // rather than misread. Structural tier corruption throws ParseError like
-// any other payload damage; *semantic* tier validation (dominance against
-// the curves rebuilt from the extractor state) is the session layer's job —
-// an unsound-but-well-formed tier is dropped and recomputed there, never a
-// reason to lose the whole session.
+// any other payload damage. The daemon writes no tier: a well-formed one in
+// a file from an older daemon is shed when the session is recovered or
+// migrated in, so its next snapshot is tierless.
 //
 // Validation on load is *strict by construction*: wrong magic, unknown
 // version, a size field disagreeing with the actual byte count, a checksum
@@ -68,8 +67,8 @@ struct SessionSnapshot {
   std::string session_id;
   std::string tenant;
   workload::OnlineExtractorState extractor;
-  /// Present when the daemon runs with a compaction budget and the session
-  /// had closed its smallest window at snapshot time.
+  /// Present only in files that a daemon with a compaction budget wrote;
+  /// the session layer never sets it and ignores a decoded one.
   std::optional<PwlTier> tier;
 };
 

@@ -125,18 +125,18 @@ const char* name_of(CurveOp op) {
   return "?";
 }
 
-/// Pins engine config to a known state per test; global state otherwise
-/// leaks between tests sharing a process (plain `ctest` runs one test per
-/// process, but `--gtest_filter=*` runs do not).
+/// Pins engine config to a known state per test — fast paths on, the global
+/// memo cache off (capacity 0); global state otherwise leaks between tests
+/// sharing a process (plain `ctest` runs one test per process, but
+/// `--gtest_filter=*` runs do not).
 class CurveEngineTest : public ::testing::Test {
  protected:
   void SetUp() override {
     engine::Config cfg;
     cfg.fast_paths = true;
-    cfg.use_cache = false;
     engine::set_config(cfg);
     engine::reset_stats_for_testing();
-    OpCache::global().set_capacity_bytes(OpCache::kDefaultCapacityBytes);
+    OpCache::global().set_capacity_bytes(0);
     OpCache::global().clear();
   }
   void TearDown() override {
@@ -192,7 +192,6 @@ TEST_F(CurveEngineTest, DenseTiledKernelBitIdenticalToOracle) {
 TEST_F(CurveEngineTest, NoFastPathsConfigStillBitIdentical) {
   engine::Config cfg;
   cfg.fast_paths = false;
-  cfg.use_cache = false;
   engine::set_config(cfg);
   Rng rng(0x0FFULL);
   const DiscreteCurve f = make_curve(ShapeKind::Convex, 128, rng);
@@ -556,7 +555,6 @@ TEST_F(CurveEngineTest, GpcOnTraceDerivedCurvesRunsNoDenseCallAndMatchesDense) {
 
   engine::Config cfg;
   cfg.fast_paths = false;
-  cfg.use_cache = false;
   engine::set_config(cfg);
   const rtc::GpcResult dense = rtc::analyze_gpc(demand, resource);
   EXPECT_EQ(engine::dispatch_stats().dense, 6);
@@ -575,8 +573,8 @@ TEST_F(CurveEngineTest, GpcOnTraceDerivedCurvesRunsNoDenseCallAndMatchesDense) {
 TEST_F(CurveEngineTest, CacheHitReturnsBitIdenticalResult) {
   engine::Config cfg;
   cfg.fast_paths = true;
-  cfg.use_cache = true;
   engine::set_config(cfg);
+  OpCache::global().set_capacity_bytes(OpCache::kDefaultCapacityBytes);
   Rng rng(0xCACEULL);
   const DiscreteCurve f = make_curve(ShapeKind::General, 200, rng);
   const DiscreteCurve g = make_curve(ShapeKind::General, 200, rng);

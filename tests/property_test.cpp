@@ -8,9 +8,7 @@
 #include <cmath>
 
 #include "common/rng.h"
-#include "curve/compact.h"
 #include "curve/discrete_curve.h"
-#include "curve/engine.h"
 #include "curve/pwl_curve.h"
 #include "rtc/sizing.h"
 #include "sched/edf.h"
@@ -326,74 +324,6 @@ TEST_P(AlgebraIdentities, ShapeFastPathsAgreeWithNaiveKernels) {
   for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], a_ref[i]) << i;
   for (std::size_t i = 0; i < b.size(); ++i) ASSERT_EQ(b[i], b_ref[i]) << i;
   for (std::size_t i = 0; i < c.size(); ++i) ASSERT_EQ(c[i], c_ref[i]) << i;
-}
-
-TEST_P(AlgebraIdentities, CompactionCommutesWithConvolutionWithinComposedBudget) {
-  // Compaction-composition law: compact-then-convolve and convolve-then-
-  // compact both live in the composed corridor ε_f + ε_g around the dense
-  // convolution — the two orders are interchangeable up to the budget one
-  // already accepted, and both stay on the conservative side.
-  const auto f = random_curve(48, 20);
-  const auto g = random_curve(48, 21);
-  const curve::CompactBudget budget{1.0, 1e-3};
-  const curve::CompactBudget composed{2 * budget.eps_abs, 2 * budget.eps_rel};
-  const auto conv = curve::DiscreteCurve::min_plus_conv(f, g);
-
-  const auto cf = curve::CompactCurve::compact_upper(f, budget);
-  const auto cg = curve::CompactCurve::compact_upper(g, budget);
-  const auto compact_first =
-      curve::engine::apply_compact(curve::CurveOp::MinPlusConv, cf, cg);
-  const auto convolve_first = curve::CompactCurve::compact_upper(conv, composed);
-
-  ASSERT_EQ(compact_first.dense_size(), conv.size());
-  for (std::size_t i = 0; i < conv.size(); ++i) {
-    const double slack = 1e-9 * (1.0 + std::abs(conv[i]));
-    const double a = compact_first.eval_index(i);
-    const double b = convolve_first.eval_index(i);
-    // Both orders dominate the dense result…
-    ASSERT_GE(a, conv[i] - slack) << i;
-    ASSERT_GE(b, conv[i] - slack) << i;
-    // …within the composed corridor…
-    ASSERT_LE(a - conv[i], composed.at(conv[i]) + slack) << i;
-    ASSERT_LE(b - conv[i], composed.at(conv[i]) + slack) << i;
-    // …so they agree with each other up to twice that corridor.
-    ASSERT_LE(std::abs(a - b), 2 * composed.at(conv[i]) + slack) << i;
-  }
-}
-
-TEST_P(AlgebraIdentities, GaloisAdjunctionSurvivesCompaction) {
-  // The residuation adjunction on PWL forms: when each operand is compacted
-  // on its conservative side (f, h Up for the unit, Down for the counit; the
-  // deconvolved g on the opposite side), the unit and counit laws survive
-  // compaction — conservatism composes through the adjunction instead of
-  // breaking it.
-  const auto f = random_curve(40, 22);
-  const auto h = random_curve(40, 23);
-  const auto g = random_curve(40, 24);
-  const curve::CompactBudget budget{0.5, 1e-3};
-  using CC = curve::CompactCurve;
-  using curve::engine::apply_compact;
-
-  // Unit: f <= (f ⊘ g) ⊗ g. Deconv antitone in g → g compacts Down there;
-  // the closing conv then takes g from above.
-  const CC d = apply_compact(curve::CurveOp::MinPlusDeconv, CC::compact_upper(f, budget),
-                             CC::compact_lower(g, budget));
-  const CC back =
-      apply_compact(curve::CurveOp::MinPlusConv, d, CC::compact_upper(g, budget));
-  for (std::size_t i = 0; i < back.dense_size(); ++i) {
-    const double slack = 1e-9 * (1.0 + std::abs(f[i]));
-    ASSERT_GE(back.eval_index(i) + slack, f[i]) << i;
-  }
-
-  // Counit: (h ⊗ g) ⊘ g <= h. Everything from below, g subtracted from above.
-  const CC hg = apply_compact(curve::CurveOp::MinPlusConv, CC::compact_lower(h, budget),
-                              CC::compact_lower(g, budget));
-  const CC counit =
-      apply_compact(curve::CurveOp::MinPlusDeconv, hg, CC::compact_upper(g, budget));
-  for (std::size_t i = 0; i < counit.dense_size(); ++i) {
-    const double slack = 1e-9 * (1.0 + std::abs(h[i]));
-    ASSERT_LE(counit.eval_index(i), h[i] + slack) << i;
-  }
 }
 
 TEST_P(AlgebraIdentities, ClosureIsSubadditiveFixpoint) {

@@ -224,19 +224,35 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PwlCompactFuzz,
 // Shape preservation & structural behaviour.
 // ---------------------------------------------------------------------------
 
+/// Convexity read off the knots with exact comparisons: each knot continues
+/// the previous segment's end value (eval's own expression) and the slopes
+/// never fall.
+bool knots_convex(const CompactCurve& c) {
+  const auto& k = c.knots();
+  for (std::size_t j = 1; j < k.size(); ++j) {
+    const double x0 = static_cast<double>(k[j - 1].i) * c.dt();
+    const double x1 = static_cast<double>(k[j].i) * c.dt();
+    if (k[j - 1].y + k[j - 1].slope * (x1 - x0) != k[j].y) return false;
+    if (k[j].slope < k[j - 1].slope) return false;
+  }
+  return true;
+}
+
 TEST(PwlCompact, ConstantAndAffineCollapseToOneSegment) {
   const DiscreteCurve flat(std::vector<double>(500, 7.25), 1.0);
   const CompactCurve cflat = CompactCurve::compact_upper(flat, CompactBudget{});
-  EXPECT_EQ(cflat.knot_shape(), DiscreteCurve::Shape::Constant);
-  EXPECT_TRUE(cflat.continuous());
+  for (const CompactCurve::Knot& k : cflat.knots()) {
+    EXPECT_EQ(k.y, 7.25);
+    EXPECT_EQ(k.slope, 0.0);
+  }
   EXPECT_LE(cflat.size(), 2u);
 
   std::vector<double> ramp(600);
   for (std::size_t i = 0; i < ramp.size(); ++i) ramp[i] = 2.5 * static_cast<double>(i);
   const CompactCurve caff =
       CompactCurve::compact_upper(DiscreteCurve(std::move(ramp), 1.0), CompactBudget{});
-  EXPECT_EQ(caff.knot_shape(), DiscreteCurve::Shape::Affine);
-  EXPECT_TRUE(caff.continuous());
+  EXPECT_TRUE(knots_convex(caff));
+  for (const CompactCurve::Knot& k : caff.knots()) EXPECT_EQ(k.slope, 2.5);
   EXPECT_LE(caff.size(), 2u);
   EXPECT_GE(caff.reduction(), 100.0);
 }
@@ -249,8 +265,7 @@ TEST(PwlCompact, ConvexInputStaysConvexAtZeroBudget) {
   const DiscreteCurve dense(std::move(v), 1.0);
   ASSERT_EQ(dense.shape(), DiscreteCurve::Shape::Convex);
   const CompactCurve c = CompactCurve::compact_upper(dense, CompactBudget{});
-  EXPECT_TRUE(c.continuous());
-  EXPECT_EQ(c.knot_shape(), DiscreteCurve::Shape::Convex);
+  EXPECT_TRUE(knots_convex(c));
   EXPECT_TRUE(c.non_decreasing());
 }
 

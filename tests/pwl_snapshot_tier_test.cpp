@@ -1,5 +1,6 @@
 // Wire-format and lifecycle suite for the snapshot v2 PWL tier (CTest label
-// `pwl`). Three layers of guarantees:
+// `pwl`). The daemon no longer writes a tier; older daemons did, and their
+// files must still load. Two layers of guarantees:
 //
 //   · Format: v2 snapshots round-trip the tier exactly; v1 bytes (no tier)
 //     still decode; *any* corruption inside the tier block — bit flips,
@@ -7,16 +8,13 @@
 //     even when the outer payload checksum is re-sealed around the damage
 //     (the tier carries its own version + CRC precisely so tier damage is
 //     caught and named on its own).
-//   · Session lifecycle: recovery re-verifies a persisted tier against the
-//     curves rebuilt from the extractor state — a sound tier is adopted
-//     (serve.compact.tier_reused), a well-formed-but-unsound one is dropped
-//     and recomputed (tier_rejected + recomputes), never a reason to refuse
-//     the session. Migration gets the same treatment.
-//   · Crash determinism: the tier is recomputed deterministically at every
-//     snapshot, so a kill -9 between compaction and persist resumes
-//     bit-identically — encode(snapshot) is byte-stable across repeats.
+//   · Session lifecycle: recovery and migration of a tier-carrying file go
+//     through the same strict decode, then shed the tier. A structurally
+//     corrupt tier quarantines (or refuses) the whole snapshot; a sound one
+//     resumes bit-identically, and the session's next snapshot is tierless.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -28,10 +26,10 @@
 #include "common/rng.h"
 #include "curve/compact.h"
 #include "curve/discrete_curve.h"
-#include "obs/metrics.h"
 #include "serve/session.h"
 #include "serve/snapshot.h"
 #include "serve/wire.h"
+#include "workload/extract.h"
 #include "workload/online_extract.h"
 #include "workload/workload_curve.h"
 
@@ -43,12 +41,6 @@ using curve::CompactBudget;
 using curve::CompactCurve;
 using curve::CompactRounding;
 using workload::OnlineWorkloadExtractor;
-
-std::int64_t counter_value(const std::string& name) {
-  for (const auto& c : obs::registry().snapshot().counters)
-    if (c.name == name) return c.value;
-  return 0;
-}
 
 std::vector<Cycles> demo_demands(std::size_t n, std::uint64_t seed = 17) {
   common::Rng rng(seed);
@@ -66,8 +58,8 @@ curve::DiscreteCurve index_curve(const std::vector<workload::WorkloadCurve::Poin
   return curve::DiscreteCurve(std::move(v), 1.0);
 }
 
-/// Tier over the breakpoint-index grid — the same recipe the session layer
-/// uses when persisting (session.cpp make_tier).
+/// Tier over the breakpoint-index grid — the recipe tiered daemons used when
+/// persisting.
 PwlTier make_tier(const OnlineWorkloadExtractor& ex, const CompactBudget& budget) {
   return PwlTier{CompactCurve::compact_upper(index_curve(ex.upper().points()), budget),
                  CompactCurve::compact_lower(index_curve(ex.lower().points()), budget)};
@@ -216,7 +208,8 @@ TEST(PwlSnapshotTier, MispairedRoundingIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Session lifecycle: adoption, rejection, migration, crash determinism.
+// Session lifecycle: files that a tiered daemon wrote. This daemon writes no
+// tier, so each file is built with encode_snapshot from tiered_snapshot().
 // ---------------------------------------------------------------------------
 
 struct TierDirs {
@@ -228,27 +221,10 @@ struct TierDirs {
   ~TierDirs() { fs::remove_all(dir); }
 };
 
-SessionConfig tier_config(const fs::path& dir) {
+SessionConfig state_config(const fs::path& dir) {
   SessionConfig cfg;
   cfg.state_dir = dir.string();
-  cfg.compact_tier = true;
-  cfg.compact = CompactBudget{0.0, 1e-3};
   return cfg;
-}
-
-void open_and_push(SessionManager& mgr, const std::string& id, std::size_t events,
-                   std::uint64_t seed = 23) {
-  OpenRequest req;
-  req.session_id = id;
-  req.tenant = "t";
-  req.ks = {1, 2, 5, 13, 40};
-  const auto outcome = mgr.open(req, SessionManager::Clock::now());
-  ASSERT_EQ(outcome.kind, SessionManager::OpenOutcome::Kind::Replied);
-  ASSERT_TRUE(std::holds_alternative<OpenReply>(outcome.reply));
-  PushRequest push;
-  push.session_id = id;
-  push.demands = demo_demands(events, seed);
-  ASSERT_TRUE(std::holds_alternative<PushReply>(mgr.push(push)));
 }
 
 std::string read_bytes(const fs::path& p) {
@@ -257,153 +233,104 @@ std::string read_bytes(const fs::path& p) {
   return bytes;
 }
 
-TEST(PwlTierLifecycle, SnapshotsAreByteStableAcrossRepeats) {
-  TierDirs dirs("wlc_pwl_tier_stable");
-  SessionManager mgr(tier_config(dirs.dir));
-  open_and_push(mgr, "s1", 250);
-  mgr.snapshot_all();
-  const std::string first = read_bytes(dirs.dir / "s1.wlcs");
-  ASSERT_FALSE(first.empty());
-  // Recomputing the tier is deterministic: a second snapshot of the same
-  // state — the kill -9 between compaction and persist scenario — writes
-  // the identical bytes.
-  mgr.snapshot_all();
-  EXPECT_EQ(read_bytes(dirs.dir / "s1.wlcs"), first);
-  const SessionSnapshot snap = decode_snapshot(first);
-  ASSERT_TRUE(snap.tier.has_value());
-}
-
-TEST(PwlTierLifecycle, RecoveryAdoptsASoundTier) {
-  TierDirs dirs("wlc_pwl_tier_adopt");
-  {
-    SessionManager mgr(tier_config(dirs.dir));
-    open_and_push(mgr, "s1", 300);
-    mgr.snapshot_all();
-  }
-  const SessionSnapshot persisted = decode_snapshot(read_bytes(dirs.dir / "s1.wlcs"));
-  ASSERT_TRUE(persisted.tier.has_value());
-
-  obs::registry().reset_for_testing();
-  SessionManager fresh(tier_config(dirs.dir));
-  ASSERT_EQ(fresh.recover(), 1u);
-  EXPECT_GE(counter_value("serve.compact.tier_reused"), 1);
-  EXPECT_EQ(counter_value("serve.compact.tier_rejected"), 0);
-
-  // The adopted tier is the persisted one, bit-for-bit.
-  std::string bytes;
-  ASSERT_TRUE(fresh.export_session_snapshot("s1", &bytes));
-  const SessionSnapshot exported = decode_snapshot(bytes);
-  ASSERT_TRUE(exported.tier.has_value());
-  expect_tier_equal(*exported.tier, *persisted.tier);
-}
-
-TEST(PwlTierLifecycle, RecoveryDropsAnUnsoundTierAndRecomputes) {
-  TierDirs dirs("wlc_pwl_tier_unsound");
-  {
-    SessionManager mgr(tier_config(dirs.dir));
-    open_and_push(mgr, "s1", 300);
-    mgr.snapshot_all();
-  }
-  // Forge a structurally valid but *unsound* tier: shift the upper curve
-  // below the real γᵘ, breaking dominance while keeping rounding = Up.
-  SessionSnapshot snap = decode_snapshot(read_bytes(dirs.dir / "s1.wlcs"));
-  ASSERT_TRUE(snap.tier.has_value());
-  std::vector<CompactCurve::Knot> knots = snap.tier->upper.knots();
-  for (auto& k : knots) k.y -= 1e6;
-  snap.tier->upper = CompactCurve::from_knots(
-      std::move(knots), snap.tier->upper.dt(), snap.tier->upper.dense_size(),
-      CompactRounding::Up, snap.tier->upper.budget(), snap.tier->upper.max_error());
-  {
-    std::ofstream out(dirs.dir / "s1.wlcs", std::ios::binary | std::ios::trunc);
-    const std::string bytes = encode_snapshot(snap);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-
-  obs::registry().reset_for_testing();
-  SessionManager fresh(tier_config(dirs.dir));
-  // The session itself is fine — an unsound tier is never a reason to
-  // refuse it.
-  ASSERT_EQ(fresh.recover(), 1u);
-  EXPECT_GE(counter_value("serve.compact.tier_rejected"), 1);
-  EXPECT_GE(counter_value("serve.compact.recomputes"), 1);
-  EXPECT_EQ(counter_value("serve.compact.tier_reused"), 0);
-
-  // The recomputed tier is sound against the recovered extractor state.
-  std::string bytes;
-  ASSERT_TRUE(fresh.export_session_snapshot("s1", &bytes));
-  const SessionSnapshot exported = decode_snapshot(bytes);
-  ASSERT_TRUE(exported.tier.has_value());
-  const OnlineWorkloadExtractor ex = OnlineWorkloadExtractor::from_state(exported.extractor);
-  const auto upts = ex.upper().points();
-  ASSERT_EQ(exported.tier->upper.dense_size(), upts.size());
-  for (std::size_t j = 0; j < upts.size(); ++j) {
-    const double v = static_cast<double>(upts[j].second);
-    ASSERT_GE(exported.tier->upper.eval_index(j), v) << j;
-  }
+void write_bytes(const fs::path& p, const std::string& bytes) {
+  std::ofstream out(p, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 TEST(PwlTierLifecycle, StructurallyCorruptTierQuarantinesTheWholeSnapshot) {
   TierDirs dirs("wlc_pwl_tier_quarantine");
-  {
-    SessionManager mgr(tier_config(dirs.dir));
-    open_and_push(mgr, "s1", 200);
-    mgr.snapshot_all();
-  }
   // Corrupt one byte inside the tier block and re-seal the outer checksum:
   // the inner tier CRC fails, the decode throws, and recovery must
   // quarantine the file — never half-load the session without its tail.
-  std::string payload = payload_of(read_bytes(dirs.dir / "s1.wlcs"));
+  std::string payload = payload_of(encode_snapshot(tiered_snapshot(200)));
   payload[payload.size() - 5] = static_cast<char>(payload[payload.size() - 5] ^ 0x40);
-  {
-    std::ofstream out(dirs.dir / "s1.wlcs", std::ios::binary | std::ios::trunc);
-    const std::string bytes = reseal(std::move(payload));
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  SessionManager fresh(tier_config(dirs.dir));
+  write_bytes(dirs.dir / "sess-pwl.wlcs", reseal(std::move(payload)));
+  SessionManager fresh(state_config(dirs.dir));
   EXPECT_EQ(fresh.recover(), 0u);
-  EXPECT_FALSE(fs::exists(dirs.dir / "s1.wlcs"));
-  EXPECT_TRUE(fs::exists(dirs.dir / "s1.wlcs.corrupt"));
+  EXPECT_FALSE(fs::exists(dirs.dir / "sess-pwl.wlcs"));
+  EXPECT_TRUE(fs::exists(dirs.dir / "sess-pwl.wlcs.corrupt"));
 }
 
 TEST(PwlTierLifecycle, MigrationCarriesTheTierAcrossDaemons) {
-  TierDirs src_dirs("wlc_pwl_tier_mig_src");
+  // A tiered daemon's Migrate blob reaches this daemon: strict decode checks
+  // its tier block, the session is accepted, and the tier is shed — what
+  // the receiver persists and exports is the tierless encoding.
   TierDirs dst_dirs("wlc_pwl_tier_mig_dst");
-  SessionManager src(tier_config(src_dirs.dir));
-  open_and_push(src, "s1", 280);
-  src.snapshot_all();
-  std::string bytes;
-  ASSERT_TRUE(src.export_session_snapshot("s1", &bytes));
-  const SessionSnapshot wire_snap = decode_snapshot(bytes);
-  ASSERT_TRUE(wire_snap.tier.has_value());
-
-  obs::registry().reset_for_testing();
-  SessionManager dst(tier_config(dst_dirs.dir));
+  SessionSnapshot wire_snap = tiered_snapshot(280);
+  const std::string bytes = encode_snapshot(wire_snap);
+  SessionManager dst(state_config(dst_dirs.dir));
   const Reply dst_reply = dst.migrate_in(MigrateRequest{bytes});
   ASSERT_TRUE(std::holds_alternative<MigrateOkReply>(dst_reply));
-  EXPECT_GE(counter_value("serve.compact.tier_reused"), 1);
 
+  wire_snap.tier.reset();
+  const std::string tierless = encode_snapshot(wire_snap);
   std::string out_bytes;
-  ASSERT_TRUE(dst.export_session_snapshot("s1", &out_bytes));
-  const SessionSnapshot out_snap = decode_snapshot(out_bytes);
-  ASSERT_TRUE(out_snap.tier.has_value());
-  expect_tier_equal(*out_snap.tier, *wire_snap.tier);
+  ASSERT_TRUE(dst.export_session_snapshot("sess-pwl", &out_bytes));
+  EXPECT_EQ(out_bytes, tierless);
+  EXPECT_EQ(read_bytes(dst_dirs.dir / "sess-pwl.wlcs"), tierless);
+
+  // A damaged tier in the blob refuses the whole migration.
+  std::string payload = payload_of(bytes);
+  payload[payload.size() - 5] = static_cast<char>(payload[payload.size() - 5] ^ 0x40);
+  TierDirs bad_dirs("wlc_pwl_tier_mig_bad");
+  SessionManager bad(state_config(bad_dirs.dir));
+  EXPECT_TRUE(std::holds_alternative<ErrReply>(
+      bad.migrate_in(MigrateRequest{reseal(std::move(payload))})));
+  EXPECT_EQ(bad.live_sessions(), 0u);
 }
 
 TEST(PwlTierLifecycle, TierlessDaemonIgnoresPersistedTiers) {
   TierDirs dirs("wlc_pwl_tier_off");
-  {
-    SessionManager mgr(tier_config(dirs.dir));
-    open_and_push(mgr, "s1", 220);
-    mgr.snapshot_all();
-  }
-  SessionConfig cfg;
-  cfg.state_dir = dirs.dir.string();  // compact_tier stays false
-  SessionManager fresh(cfg);
+  write_bytes(dirs.dir / "sess-pwl.wlcs", encode_snapshot(tiered_snapshot(220)));
+  SessionManager fresh(state_config(dirs.dir));
   ASSERT_EQ(fresh.recover(), 1u);
   std::string bytes;
-  ASSERT_TRUE(fresh.export_session_snapshot("s1", &bytes));
-  // With tiering off the daemon neither adopts nor recomputes a tier.
+  ASSERT_TRUE(fresh.export_session_snapshot("sess-pwl", &bytes));
+  // The daemon neither adopts nor recomputes a tier.
   EXPECT_FALSE(decode_snapshot(bytes).tier.has_value());
+}
+
+TEST(PwlTierLifecycle, OldTieredSnapshotResumesBitIdentically) {
+  // The stream's length is on the grid, as the batch extractor's own grid
+  // always ends there, so the point lists compare verbatim.
+  const std::vector<EventCount> ks = {1, 2, 5, 13, 40, 700};
+  const std::vector<Cycles> stream = demo_demands(700, 29);
+  const std::size_t cut = 300;
+
+  // What a tiered daemon persisted after the first `cut` demands.
+  OnlineWorkloadExtractor before(ks);
+  for (std::size_t i = 0; i < cut; ++i) ASSERT_TRUE(before.try_push(stream[i]));
+  TierDirs dirs("wlc_pwl_tier_resume");
+  write_bytes(dirs.dir / "s1.wlcs",
+              encode_snapshot(SessionSnapshot{"s1", "t", before.export_state(),
+                                              make_tier(before, CompactBudget{0.0, 1e-3})}));
+
+  SessionManager mgr(state_config(dirs.dir));
+  ASSERT_EQ(mgr.recover(), 1u);
+  // The client resumes from the snapshotted cursor, in chunks.
+  for (std::size_t pos = cut; pos < stream.size(); pos += 64) {
+    PushRequest push;
+    push.session_id = "s1";
+    push.demands.assign(stream.begin() + static_cast<std::ptrdiff_t>(pos),
+                        stream.begin() + static_cast<std::ptrdiff_t>(
+                                             std::min(pos + 64, stream.size())));
+    ASSERT_TRUE(std::holds_alternative<PushReply>(mgr.push(push)));
+  }
+  const Reply qr = mgr.query(QueryRequest{"s1"});
+  const auto* curves = std::get_if<CurveReply>(&qr);
+  ASSERT_NE(curves, nullptr);
+  ASSERT_TRUE(curves->ready);
+  EXPECT_EQ(curves->upper, workload::extract_upper(stream, ks).points());
+  EXPECT_EQ(curves->lower, workload::extract_lower(stream, ks).points());
+
+  // The first snapshot after recovery is the tierless encoding of the
+  // state an uninterrupted extractor reaches on the whole stream.
+  mgr.snapshot_all();
+  OnlineWorkloadExtractor whole(ks);
+  for (Cycles d : stream) ASSERT_TRUE(whole.try_push(d));
+  EXPECT_EQ(read_bytes(dirs.dir / "s1.wlcs"),
+            encode_snapshot(SessionSnapshot{"s1", "t", whole.export_state(), std::nullopt}));
 }
 
 }  // namespace

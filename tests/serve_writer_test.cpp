@@ -242,21 +242,6 @@ TEST(SnapshotWriter, WrittenBytesEqualEncodeSnapshotOfTheSameState) {
             encode_snapshot({"small", "t", small.export_state(), {}}));
 }
 
-TEST(SnapshotWriter, TieredSnapshotBytesEqualTheSessionsExport) {
-  StateDir d("tier_bytes");
-  SessionConfig cfg = config(d);
-  cfg.compact_tier = true;
-  cfg.compact.eps_abs = 50;
-  SessionManager mgr(cfg);
-  open_session(mgr, "tiered");
-  push(mgr, "tiered", demands(100, 7));
-  mgr.flush_snapshots();
-  std::string expected;
-  ASSERT_TRUE(mgr.export_session_snapshot("tiered", &expected));
-  EXPECT_EQ(read_bytes(d.dir / "tiered.wlcs"), expected);
-  EXPECT_TRUE(decode_snapshot(expected).tier.has_value());
-}
-
 TEST(SnapshotWriter, TimerSnapshotsGoThroughTheWriter) {
   StateDir d("timer");
   SessionConfig cfg = config(d);

@@ -6,9 +6,8 @@
 #     dense-tiled vs shape fast path vs memo-cache hit) at n ∈ {256, 1024,
 #     4096} on convex/concave operands, dense vs engine on the GPC's trace
 #     staircases against a non-dyadic service curve (and the capped
-#     f = g = β case), the PWL compaction tier (10⁶-point
-#     fit/expand + knot kernels vs the dense fast path), plus the
-#     PWL/sup-diff paths.
+#     f = g = β case), the PWL compaction storage form (10⁶-point
+#     fit and expand), plus the PWL/sup-diff paths.
 # Both land at the repo root (google-benchmark format; `context` carries host
 # info — compare speedups only across runs with the same num_cpus).
 #

@@ -25,19 +25,10 @@
 # migrated daemon's final snapshot writes.
 #
 # Usage: tools/soak_serve.sh [--tsan] [--chaos] [--rounds N] [--events N]
-#                            [--compact-eps E] [--compact-rel R]
 #   --tsan    build with ThreadSanitizer (own build tree, build-tsan)
 #   --chaos   seeded syscall fault plans on every daemon + a live migration
 #   --rounds  kill/restart cycles per soak (default 2)
 #   --events  trace length (default 20000)
-#   --compact-eps / --compact-rel
-#             passed through to every daemon incarnation: snapshots then
-#             carry the compact PWL tier, so the kill -9 resume assertion
-#             (curves bit-identical to batch and to a clean run) also proves
-#             that tier adoption/recompute on recovery never perturbs the
-#             served gamma curves. Client output stays dense either way —
-#             the tier is a serving-layer annex, which is exactly why its
-#             presence must be invisible in these cmp checks.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -46,15 +37,12 @@ san_flags=()
 rounds=2
 events=20000
 chaos=0
-compact_flags=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --tsan)   build="$repo/build-tsan"; san_flags=(-DWLC_SANITIZE_THREAD=ON); shift ;;
     --chaos)  chaos=1; shift ;;
     --rounds) rounds="$2"; shift 2 ;;
     --events) events="$2"; shift 2 ;;
-    --compact-eps) compact_flags+=(--compact-eps "$2"); shift 2 ;;
-    --compact-rel) compact_flags+=(--compact-rel "$2"); shift 2 ;;
     *) echo "unknown argument: $1" >&2; exit 2 ;;
   esac
 done
@@ -111,8 +99,7 @@ start_daemon() {  # extra serve flags in "$@" (e.g. --drain-to for migration)
   WLC_FAULT_SPEC="$daemon_fault_spec" \
   "$bin" serve --listen "unix:$sock" --state-dir "$state" \
     --max-sessions 16 --snapshot-every 256 --snapshot-interval 1 \
-    --request-log "$work/requests.jsonl" --watchdog-ms 5000 \
-    ${compact_flags[@]+"${compact_flags[@]}"} "$@" \
+    --request-log "$work/requests.jsonl" --watchdog-ms 5000 "$@" \
     >>"$work/daemon.log" 2>&1 &
   daemon_pid=$!
   for _ in $(seq 1 100); do
@@ -127,7 +114,6 @@ start_daemon_b() {  # the migration peer: own socket, state dir, request log
   "$bin" serve --listen "unix:$sock_b" --state-dir "$state_b" \
     --max-sessions 16 --snapshot-every 256 --snapshot-interval 1 \
     --request-log "$work/requests-b.jsonl" --watchdog-ms 5000 \
-    ${compact_flags[@]+"${compact_flags[@]}"} \
     >>"$work/daemon-b.log" 2>&1 &
   daemon_b_pid=$!
   for _ in $(seq 1 100); do
